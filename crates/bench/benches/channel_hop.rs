@@ -95,25 +95,8 @@ fn bench_spsc(c: &mut Criterion, batches: usize) {
                     Err(PushError::Closed(_)) => {}
                 }
             };
-            loop {
-                if let Some(job) = feed_rx.try_pop() {
-                    serve(job);
-                    continue;
-                }
-                if feed_rx.is_closed() {
-                    // Pushes happen-before close on the bench thread, so
-                    // one more pop catches anything racing the close.
-                    match feed_rx.try_pop() {
-                        Some(job) => serve(job),
-                        None => return,
-                    }
-                    continue;
-                }
-                feed_rx.begin_park();
-                if feed_rx.is_empty() && !feed_rx.is_closed() {
-                    thread::park();
-                }
-                feed_rx.end_park();
+            while let Some(job) = feed_rx.pop_or_park() {
+                serve(job);
             }
         });
         let mut slot = Some(make_job(batches));

@@ -15,6 +15,7 @@ use nova_approx::Activation;
 use nova_synth::{units, LutSharing, TechModel};
 use nova_workloads::bert::{census, BertConfig, OpCensus};
 
+use crate::serving::pack::pack;
 use crate::timeline::table_switch_cycles;
 use crate::NovaError;
 
@@ -321,12 +322,19 @@ const PAPER_TABLE_ENTRIES: u64 = 16;
 /// streams) sharing `kind` on `config`: non-linear queries are coalesced
 /// across requests into full `(routers × neurons)` batches *within each
 /// activation's run* (runs in first-appearance order, exactly like the
-/// functional engine's admission stage), dispatched round-robin over
-/// `workers` concurrent shard workers, matmuls serialize on the host
-/// fabric, and the report carries aggregate throughput (inferences/s,
-/// queries/s) plus batch occupancy — versus naive dispatch, where each
-/// request's batches run alone with their own padded tails on a single
-/// worker.
+/// functional engine's admission stage), dealt one batch at a time
+/// round-robin over `workers` concurrent shard workers, matmuls
+/// serialize on the host fabric, and the report carries aggregate
+/// throughput (inferences/s, queries/s) plus batch occupancy — versus
+/// naive dispatch, where each request's batches run alone with their
+/// own padded tails on a single worker.
+///
+/// The batch counts match the functional engine's, but the per-worker
+/// split is its `K = 1` case: the engine deals whole work units of up
+/// to `K` batches round-robin, so deep runs can split unevenly there.
+/// On the 32-batch GELU+exp scaling slate at 3 workers, the engine
+/// serves `[12, 12, 8]` batches per worker where this model deals
+/// `[11, 11, 10]`.
 ///
 /// Aggregate numbers are gathered from the per-worker cycle counters:
 /// the non-linear wall time is the pool's makespan (the busiest worker,
@@ -394,10 +402,10 @@ pub fn evaluate_multi_stream(
         .sum();
     let latency = kind.batch_latency_cycles();
     let nl_cycles = coalesced_batches * latency;
-    // Round-robin the run-ordered batches over the worker pool, exactly
-    // as the serving runtime's admission stage does — tracking which
+    // Deal the run-ordered batches round-robin, one batch at a time (the
+    // runtime's dispatch with one batch per unit), tracking which
     // activation each worker has loaded (all pre-programmed with the
-    // first run's table) — and gather the aggregate from the per-worker
+    // first run's table), and gather the aggregate from the per-worker
     // counters.
     let switch_stall = table_switch_cycles(kind, PAPER_TABLE_ENTRIES);
     let mut worker_nl_cycles = vec![0u64; workers];
@@ -503,9 +511,9 @@ pub fn evaluate_multi_stream(
 ///
 /// Mirrors [`evaluate_multi_stream`]'s relationship to the single-table
 /// runtime: it counts batches, lookups and switch stalls without
-/// materializing values, with the exact packing discipline the
-/// functional engine uses for fused plans (row-aligned — an attention
-/// row never splits across batches, because the reduce stages span it).
+/// materializing values, with the functional engine's own packer for
+/// fused plans (row-aligned — an attention row never splits across
+/// batches, because the reduce stages span it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedSoftmaxReport {
     /// Host accelerator name.
@@ -562,10 +570,12 @@ nova_serde::impl_serde_struct!(FusedSoftmaxReport {
 /// rows pack row-aligned into `(routers × neurons)`-slot batches, every
 /// batch runs two lookup passes (softmax-exp, then reciprocal) with a
 /// table switch before each pass the worker's loaded table doesn't
-/// match, and batches round-robin over `workers` shards exactly like
-/// the functional admission stage. Workers boot with the exp table
-/// loaded (the plan's first lookup), so the first batch on each worker
-/// switches once and every later batch twice.
+/// match, and batches are dealt one at a time round-robin over
+/// `workers` shards — the functional engine's dispatch with one batch
+/// per work unit (it deals whole units of up to `K` batches, so its
+/// per-worker split can differ; the batch count cannot). Workers boot
+/// with the exp table loaded (the plan's first lookup), so the first
+/// batch on each worker switches once and every later batch twice.
 ///
 /// This is the analytic twin of serving
 /// `nova_workloads::traffic::TrafficMix::fused_rows_slate` through a
@@ -589,34 +599,20 @@ pub fn evaluate_fused_softmax(
         ));
     }
     let capacity = config.total_neurons() as u64;
-    let mut row_count = 0u64;
-    let mut total_queries = 0u64;
-    let mut batches = 0u64;
-    let mut fill = 0u64;
-    for &width in rows {
-        if width == 0 {
-            continue;
-        }
-        if width > capacity {
-            return Err(NovaError::BatchShape(format!(
-                "fused-softmax row of {width} lanes exceeds the batch capacity {capacity}: \
-                 the in-engine reduction cannot span batches"
-            )));
-        }
-        if fill + width > capacity {
-            batches += 1;
-            fill = 0;
-        }
-        fill += width;
-        row_count += 1;
-        total_queries += width;
-    }
-    batches += u64::from(fill > 0);
+    let widths = rows
+        .iter()
+        .map(|&w| usize::try_from(w).unwrap_or(usize::MAX))
+        .enumerate();
+    let mut spans = Vec::new();
+    let layout = pack(widths, true, config.total_neurons(), workers, 1, &mut spans)?;
+    let batches = layout.batches as u64;
     if batches == 0 {
         return Err(NovaError::BatchShape(
             "fused-softmax evaluation needs at least one non-empty row".into(),
         ));
     }
+    let row_count = spans.len() as u64;
+    let total_queries: u64 = rows.iter().sum();
     let latency = kind.batch_latency_cycles();
     // Two lookup passes per batch: the exp table over the scores, the
     // reciprocal table over the broadcast denominators.

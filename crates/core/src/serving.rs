@@ -5,8 +5,7 @@
 //! Single-shot evaluation (one caller, one table, one batch at a time)
 //! wastes the vector unit twice: every caller refits and requantizes its
 //! own table, and partial batches leave `(routers × neurons)` grid slots
-//! idle. This module amortizes both — and since PR 3 it does so on a
-//! real multi-threaded pipeline instead of a synchronous loop:
+//! idle. This module amortizes both, on a multi-threaded pipeline:
 //!
 //! - [`TableCache`] memoizes fitted+quantized tables behind an
 //!   [`Arc`], keyed by everything that determines the bits —
@@ -17,8 +16,7 @@
 //!   (the loser's fit is discarded and counted in
 //!   [`TableCache::lost_races`]).
 //! - [`ServingEngine`] is a three-stage concurrent runtime built only on
-//!   `std` (since PR 6, on lock-free [`crate::spsc`] rings instead of
-//!   `mpsc` channels):
+//!   `std` and lock-free [`crate::spsc`] rings:
 //!   1. an **admission/coalescing** stage that packs the queries of many
 //!      concurrent streams, in arrival order *per activation table*,
 //!      into full `(routers × neurons)` batches, gathers runs of up to
@@ -93,11 +91,14 @@
 //! surfaces share one data plane (and one bit-identity guarantee
 //! against [`serve_reference`](ServingEngine::serve_reference)).
 //!
-//! The data plane is **flat and zero-copy** (PR 4): batches travel as
-//! contiguous [`nova_fixed::FixedBatch`] grids evaluated through
-//! [`VectorUnit::lookup_batch_into`], work units carry recyclable input
-//! buffers (each worker owns one long-lived output scratch), and
-//! completions return the inputs to an engine-owned pool — once the
+//! The data plane is **flat and zero-copy**: one packer
+//! (`serving/pack.rs`) lays every plan group out as batches of request
+//! *spans* — `(request, offset, grid slot, len)` fragments. A batch
+//! travels as a contiguous [`nova_fixed::FixedBatch`] grid plus its span
+//! list, each span carrying where its result words land; the worker
+//! evaluates through [`VectorUnit::lookup_batch_into`] into its own
+//! scratch and scatters one copy per span. Completions return the batch
+//! shells (grid plus span list) to an engine-owned pool — once the
 //! pipeline has warmed up, steady-state serving performs zero per-batch
 //! heap allocations ([`ServingEngine::buffers_created`] stays
 //! constant). Wall-clock stage attribution (admission, per-worker busy
@@ -153,8 +154,8 @@
 //!    back *whole* (batches and plan intact, zero counters) over its
 //!    completion ring;
 //! 3. **requeue** — each handed-back unit is re-admitted to the
-//!    healthy shards. Scatter is idempotent (workers write result
-//!    words through per-slot pointers), so the healthy re-run lands
+//!    healthy shards. Scatter is idempotent (workers copy result
+//!    words to fixed per-span destinations), so the healthy re-run lands
 //!    bit-identically and the slate completes equal to
 //!    [`serve_reference`](ServingEngine::serve_reference) as long as
 //!    one healthy shard remains; only when the last shard is
@@ -217,21 +218,8 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! # Migrating from tagged requests to plans
-//!
-//! PR 7 replaced the single `activation: TableKey` tag on
-//! [`ServingRequest`] with an op-graph [`Plan`] and removed the PR 5
-//! v1 positional constructors ("kept for one release"). The mapping is
-//! mechanical:
-//!
-//! | tagged surface (≤ PR 6) | op-graph surface |
-//! |---|---|
-//! | `ServingRequest::new(s, key, xs)` | unchanged — `TableKey` converts `Into<Plan>` |
-//! | `ServingRequest { activation: key, .. }` | `ServingRequest { plan: key.into(), .. }` |
-//! | hand-rolled softmax around single lookups | `ServingRequest::new(s, Plan::fused_softmax(fmt, rnd), xs)` |
-//! | `ServingEngine::new(kind, line, table, shards)` | `builder(kind).line(line).cache(&c).table(key).shards(n).build()` |
-//! | `ServingEngine::for_host(kind, tech, cfg, &c, key, n)` | `builder(kind).host(tech, cfg).cache(&c).table(key).shards(n).build()` |
+
+pub(crate) mod pack;
 
 use std::collections::{HashMap, VecDeque};
 // Atomics come through the nova-check facade (std in normal builds,
@@ -251,6 +239,7 @@ use nova_synth::TechModel;
 
 pub use nova_noc::fault::{FaultInjector, InjectedFault};
 
+use self::pack::{pack, Span};
 use crate::spsc::{self, Doorbell, PushError};
 use crate::vector_unit::{build, line_for_kind, HostGeometry, VectorUnit};
 use crate::{ApproximatorKind, NovaError};
@@ -911,35 +900,20 @@ impl ServingConfig {
 /// [`FaultInjector`] rides on a chosen shard and corrupts one output
 /// word (or panics) after a configured number of lookup evaluations.
 ///
-/// Detection coverage follows the canary width: an injected bit flip
-/// lands in lane 0, which every canary width ≥ 1 covers; real upsets
-/// outside the canary lanes are the same residual risk a sampled
-/// checker has in hardware.
+/// Detection coverage follows the canary width (the two leading lanes
+/// of each lookup batch): an injected bit flip lands in lane 0, which
+/// the canary always covers; real upsets outside the canary lanes are
+/// the same residual risk a sampled checker has in hardware.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPolicy {
-    canary_slots: usize,
     injectors: Vec<(usize, FaultInjector)>,
 }
 
 impl FaultPolicy {
-    /// A policy with the default canary width (2 lanes per lookup
-    /// batch) and no injected faults — pure detection arming.
+    /// A policy with no injected faults — pure detection arming.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            canary_slots: 2,
-            injectors: Vec::new(),
-        }
-    }
-
-    /// Sets how many leading lanes of each lookup batch the workers
-    /// re-check through the scalar path. Clamped to at least 1 when the
-    /// policy is armed; wider canaries catch more corruption at more
-    /// re-evaluation cost.
-    #[must_use]
-    pub fn canary_slots(mut self, lanes: usize) -> Self {
-        self.canary_slots = lanes;
-        self
+        Self::default()
     }
 
     /// Arms a deterministic fault on shard `shard` (ignored if the
@@ -975,7 +949,6 @@ pub struct EngineBuilder<'a> {
     shards: usize,
     tables: Vec<TableKey>,
     cache: Option<&'a TableCache>,
-    unit_cap: usize,
     fault_policy: Option<FaultPolicy>,
 }
 
@@ -988,7 +961,6 @@ impl<'a> EngineBuilder<'a> {
             shards: 1,
             tables: Vec::new(),
             cache: None,
-            unit_cap: MAX_UNIT_BATCHES,
             fault_policy: None,
         }
     }
@@ -1023,17 +995,6 @@ impl<'a> EngineBuilder<'a> {
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Caps the adaptive run length `K`: how many coalesced
-    /// same-activation batches admission may pack into one work unit.
-    /// Deep slates fatten units toward this cap (amortizing ring hops
-    /// and sequence bookkeeping); shallow slates always thin out to one
-    /// batch per unit regardless. Clamped to at least 1; defaults to 8.
-    #[must_use]
-    pub fn max_batches_per_unit(mut self, k: usize) -> Self {
-        self.unit_cap = k.max(1);
         self
     }
 
@@ -1123,7 +1084,7 @@ impl<'a> EngineBuilder<'a> {
             shards: self.shards,
             tables: keys,
         };
-        ServingEngine::from_config_parts(config, tables, self.unit_cap, self.fault_policy)
+        ServingEngine::from_config_parts(config, tables, self.fault_policy)
     }
 }
 
@@ -1252,27 +1213,6 @@ nova_serde::impl_serde_struct!(StageTimes {
     requeue_ns,
 });
 
-/// Where one query's output word lands: a raw pointer into the
-/// submitting ticket's pre-sized per-request output row.
-///
-/// The pointee is a slot of a `Vec<Fixed>` inside
-/// `TicketState::outputs`. Admission sizes every row to its final
-/// length *before* taking these pointers and never resizes a row while
-/// its ticket is in flight, and moving `TicketState` (or the `inflight`
-/// vector it lives in) moves only `Vec` headers — the heap rows the
-/// pointers target stay put. The sequence ledger guarantees exclusive
-/// access: each slot belongs to exactly one packed batch, and the
-/// engine only reads the rows after every unit of the ticket has
-/// completed (a `SeqCst` completion-ring crossing orders the worker's
-/// writes before the engine's reads).
-#[derive(Clone, Copy)]
-struct OutSlot(*mut Fixed);
-
-// SAFETY: an `OutSlot` is a plain address; the exclusivity and
-// lifetime argument above is what makes sending it to a worker sound.
-#[allow(unsafe_code)]
-unsafe impl Send for OutSlot {}
-
 /// One stage of a [`CompiledPlan`]: a [`PlanStage`] with its lookup
 /// resolved to the resident table's `Arc`, so workers never touch the
 /// engine's table list.
@@ -1301,16 +1241,9 @@ struct CompiledPlan {
     /// Lookup stages per batch — each costs one
     /// [`VectorUnit::latency_cycles`] charge on success.
     lookups: u64,
-}
-
-impl CompiledPlan {
-    /// The single-stage fast path: the trivial lookup plan's key+table.
-    fn single_lookup(&self) -> Option<(&TableKey, &Arc<QuantizedPwl>)> {
-        match &self.stages[..] {
-            [StageOp::Lookup { key, table }] => Some((key, table)),
-            _ => None,
-        }
-    }
+    /// Multi-stage plans pack row-aligned: a reduce stage spans a
+    /// request's whole row, so a row never splits across batches.
+    fused: bool,
 }
 
 /// Exact row max-subtract in the raw domain — [`PlanStage::MaxSubtract`]
@@ -1362,30 +1295,39 @@ fn range_scale_lane(num_raw: i64, recip_m: Fixed, e: i32, format: QFormat) -> Fi
 }
 
 /// One coalesced batch inside a work unit: a full (possibly
-/// tail-padded) input grid plus the scatter map for its `len` real
-/// queries.
+/// tail-padded) input grid plus its span map.
 struct PackedBatch {
     /// Recyclable flat input grid (pool-owned between flights).
     inputs: FixedBatch,
-    /// Real (non-padded) queries in the grid's leading slots.
-    len: usize,
-    /// Fused plans only: each packed request's `(start, len)` row
-    /// within the grid — reduce stages operate per row. Empty (and
-    /// allocation-free) for single-lookup plans, whose stages are
-    /// row-agnostic.
-    rows: Vec<(usize, usize)>,
-    /// `len` output slots, one per real query, in grid-slot order. The
-    /// pointees live in the ticket's `scatter` vector, which admission
-    /// reserves to its exact final length before taking this pointer
-    /// (no mid-submit reallocation) and which outlives every flight of
-    /// the ticket's units.
-    dst: *const OutSlot,
+    /// One entry per request fragment, in grid-slot order from slot 0:
+    /// the fragment's [`Span`] (reduce stages read each span as a row)
+    /// and where its `len` result words land.
+    ///
+    /// The destination is a slot of a `Vec<Fixed>` inside
+    /// `TicketState::outputs`. Admission sizes every row to its final
+    /// length *before* taking these pointers and never resizes a row
+    /// while its ticket is in flight, and moving `TicketState` (or the
+    /// `inflight` vector it lives in) moves only `Vec` headers — the
+    /// heap rows the pointers target stay put. The sequence ledger
+    /// guarantees exclusive access: each output word belongs to exactly
+    /// one span, and the engine only reads the rows after every unit of
+    /// the ticket has completed (a `SeqCst` completion-ring crossing
+    /// orders the worker's writes before the engine's reads).
+    spans: Vec<(Span, *mut Fixed)>,
 }
 
-// SAFETY: `dst` is only dereferenced by the worker a unit is routed
-// to, while the owning ticket is in flight — see `OutSlot`.
+// SAFETY: `inputs` and the spans are plain owned data; the raw span
+// destinations are only written by the one worker the unit is routed
+// to, while the owning ticket is in flight (see `spans`).
 #[allow(unsafe_code)]
 unsafe impl Send for PackedBatch {}
+
+impl PackedBatch {
+    /// Real (non-padded) queries: the grid's leading slots.
+    fn len(&self) -> usize {
+        self.spans.last().map_or(0, |(span, _)| span.slots().end)
+    }
+}
 
 /// A fat work unit: a sequence-numbered run of up to
 /// [`MAX_UNIT_BATCHES`] same-plan batches. One ring hop, one (at most)
@@ -1398,17 +1340,40 @@ struct WorkUnit {
     batches: Vec<PackedBatch>,
 }
 
-/// Completion of one work unit: pre-aggregated counters (the results
-/// themselves were scattered in place by the worker) plus the batch
-/// shells riding back for recycling.
+/// Completion of one work unit: the batch shells riding back for
+/// recycling (or requeue) plus what became of the unit.
 struct UnitDone {
     seq: u64,
     worker: usize,
-    /// Batches (and their real queries) that evaluated successfully —
-    /// within a unit, later batches still run after one fails, exactly
-    /// like the per-batch pipeline did.
-    batches_ok: u64,
-    queries_ok: u64,
+    batches: Vec<PackedBatch>,
+    outcome: Outcome,
+}
+
+/// What a worker did with one work unit.
+enum Outcome {
+    /// The unit ran on a trusted shard; its results were scattered in
+    /// place. `result` is `Ok` or the unit's first (lowest-batch)
+    /// failure — later batches still run after one fails.
+    Served {
+        ledger: UnitLedger,
+        result: Result<(), NovaError>,
+    },
+    /// A shard-fault verdict (canary mismatch or armed-policy panic):
+    /// the unit was *not* served. Its batches ride back intact with its
+    /// plan, so the engine quarantines the worker and requeues the unit
+    /// on a healthy shard.
+    HandedBack {
+        verdict: String,
+        plan: Arc<CompiledPlan>,
+    },
+}
+
+/// Pre-aggregated counters of one served work unit.
+#[derive(Default)]
+struct UnitLedger {
+    /// Batches (and their real queries) that evaluated successfully.
+    batches: u64,
+    queries: u64,
     /// Summed per-batch latency of the successful batches, in cycles.
     latency: u64,
     /// Padded tail slots of the successful batches.
@@ -1417,19 +1382,6 @@ struct UnitDone {
     switch_cycles: u64,
     /// Wall nanoseconds this unit kept the worker busy.
     busy_ns: u64,
-    /// The unit's batches (input buffers inside), back for the pool.
-    recycled: Vec<PackedBatch>,
-    /// `Ok`, or the unit's first (lowest-batch) failure.
-    result: Result<(), NovaError>,
-    /// A shard-fault verdict (canary mismatch or armed-policy panic):
-    /// the unit was *not* served — `recycled` still carries its intact
-    /// batches, `plan` rides back below, and the engine must quarantine
-    /// this worker and requeue the unit to a healthy shard. `None` for
-    /// every normal completion.
-    fault: Option<String>,
-    /// The unit's plan, returned only with a fault verdict so the
-    /// engine can re-wrap `recycled` into a dispatchable [`WorkUnit`].
-    plan: Option<Arc<CompiledPlan>>,
 }
 
 /// One slate's results: per-request output vectors, aligned with the
@@ -1466,13 +1418,9 @@ struct TicketState {
     /// Units completed so far; the ticket finishes at `jobs` (the
     /// watermark — no per-row reorder work happens here).
     received: usize,
-    /// The scatter surface: one [`OutSlot`] per dispatched query, in
-    /// dispatch order. In-flight `PackedBatch::dst` pointers alias into
-    /// this vector, so it must stay untouched (not even pushed to)
-    /// until every unit has completed.
-    scatter: Vec<OutSlot>,
     /// Per-request output rows, pre-sized to their final lengths at
-    /// admission; workers write the result words in place.
+    /// admission; workers write the result words in place through the
+    /// span destinations of the ticket's batches.
     outputs: Vec<Vec<Fixed>>,
     request_count: usize,
     /// Lowest-sequence unit failure, if any — deterministic for any
@@ -1495,12 +1443,15 @@ const WORKER_FEED_DEPTH: usize = 2;
 const WORKER_DONE_DEPTH: usize = 4;
 
 /// Hard cap on batches per work unit. Admission adapts the run length
-/// `K` between 1 and this (see the builder's
-/// [`max_batches_per_unit`](EngineBuilder::max_batches_per_unit)): fat
-/// units amortize ring hops and sequence bookkeeping under deep
-/// slates, while a shallow slate still dispatches one batch per unit
-/// so tail latency and shard spread are unhurt at low load.
+/// `K` between 1 and this (see [`pack`]): fat units amortize ring hops
+/// and sequence bookkeeping under deep slates, while a shallow slate
+/// still dispatches one batch per unit so tail latency and shard spread
+/// are unhurt at low load.
 const MAX_UNIT_BATCHES: usize = 8;
+
+/// Leading lanes of each lookup batch an armed worker re-checks through
+/// the scalar architectural path (see [`FaultPolicy`]).
+const CANARY_LANES: usize = 2;
 
 /// One shard's engine-side plumbing: the two SPSC rings to/from its
 /// worker thread, the in-flight unit count that caps completion-ring
@@ -1550,20 +1501,18 @@ pub struct ServingEngine {
     loads: Vec<WorkerLoad>,
     requests_served: u64,
     padded_slots: u64,
-    /// Recycling pool of flat input batch buffers. Admission pops one
-    /// per packed batch and completions return them, so a steady-state
-    /// serve loop performs zero per-batch heap allocations. (Output
-    /// scratch lives with each worker; results scatter straight into
-    /// ticket rows.)
-    spare_inputs: Vec<FixedBatch>,
+    /// Recycling pool of batch shells (input grid plus span list).
+    /// Admission pops one per packed batch and completions return them,
+    /// so a steady-state serve loop performs zero per-batch heap
+    /// allocations. (Output scratch lives with each worker; results
+    /// scatter straight into ticket rows.)
+    spare_batches: Vec<PackedBatch>,
     /// Recycled `WorkUnit::batches` shells (capacity-keeping).
     spare_units: Vec<Vec<PackedBatch>>,
-    /// Recycled `PackedBatch::rows` maps (capacity-keeping; fused
-    /// plans only — single-lookup batches carry an empty map).
-    spare_rows: Vec<Vec<(usize, usize)>>,
-    /// Recycled ticket scatter surfaces (capacity-keeping).
-    spare_scatter: Vec<Vec<OutSlot>>,
-    /// Input buffers minted because the pool ran dry — grows while the
+    /// Admission's span scratch: every plan group's layout for the
+    /// slate being submitted (capacity-keeping).
+    spans: Vec<Span>,
+    /// Batch shells minted because the pool ran dry — grows while the
     /// pipeline warms up, then stays constant (the allocation-free
     /// steady-state invariant the recycling test asserts).
     buffers_created: u64,
@@ -1577,8 +1526,6 @@ pub struct ServingEngine {
     pending: VecDeque<WorkUnit>,
     /// In-flight tickets, ordered by `base_seq` (= submit order).
     inflight: Vec<TicketState>,
-    /// Caps adaptive `K` (batches per work unit); builder-configurable.
-    unit_cap: usize,
     /// Caller-thread nanoseconds spent in admission, cumulative.
     admit_ns: u64,
     /// Caller-thread nanoseconds spent finalizing tickets, cumulative.
@@ -1645,20 +1592,22 @@ fn push_done(done_tx: &spsc::Producer<UnitDone>, mut done: UnitDone) {
 }
 
 /// The armed worker's per-lookup fault hook: applies this shard's
-/// injected fault (if its trigger tick has come up), then re-evaluates a
-/// canary slice of the batch through the scalar architectural path and
-/// reports the first mismatching lane.
+/// injected fault (if its trigger tick has come up), then re-evaluates
+/// the canary lanes of the batch through the scalar architectural path
+/// and reports the first mismatching lane.
 ///
-/// Returns `None` when the policy is disarmed (`canary` is `None`) or
-/// when every canary lane agrees; `Some(lane)` is a shard-fault verdict.
+/// Returns `None` when the worker is not armed or when every canary
+/// lane agrees; `Some(lane)` is a shard-fault verdict.
 fn lookup_fault_hook(
     table: &QuantizedPwl,
     xs: &[Fixed],
     ys: &mut [Fixed],
     injector: &mut Option<FaultInjector>,
-    canary: Option<usize>,
+    armed: bool,
 ) -> Option<usize> {
-    let lanes = canary?;
+    if !armed {
+        return None;
+    }
     if let Some(fault) = injector.as_mut().and_then(FaultInjector::tick) {
         match fault {
             InjectedFault::BitFlip { bit } => {
@@ -1676,8 +1625,242 @@ fn lookup_fault_hook(
     }
     xs.iter()
         .zip(ys.iter())
-        .take(lanes)
+        .take(CANARY_LANES)
         .position(|(&x, &y)| table.eval(x) != y)
+}
+
+/// One shard worker: the thread-owned vector unit, scratch grids and
+/// fault arming behind the feed → serve → completion loop.
+struct Worker {
+    id: usize,
+    unit: Box<dyn VectorUnit>,
+    /// The table `unit` is programmed with; `None` after a panic, which
+    /// may have left the banks half-written, so the next lookup
+    /// re-programs unconditionally.
+    current: Option<TableKey>,
+    /// The newest stage output. Results scatter straight from here, so
+    /// no output buffer ever rides the rings.
+    scratch: FixedBatch,
+    /// Lookup output, swapped into `scratch` after every lookup.
+    pong: FixedBatch,
+    /// The numerators and per-row range exponents a `SumRangeReduce`
+    /// latches for the following `RangeScale` (`None` marks an all-zero
+    /// row's uniform fallback).
+    latch: Vec<i64>,
+    row_exps: Vec<Option<i32>>,
+    /// Fault detection armed: canary checks run, and a panic is a shard
+    /// fault instead of a slate failure.
+    armed: bool,
+    injector: Option<FaultInjector>,
+    /// Latched fault verdict: once set, this shard serves nothing
+    /// further and hands every unit back until the engine closes its
+    /// feed.
+    retired: Option<String>,
+}
+
+impl Worker {
+    /// The worker thread: parks (not spins) on an empty feed ring and
+    /// exits once the engine closes it and the ring has drained. Every
+    /// unit yields exactly one completion, and every completion rings
+    /// the engine's doorbell.
+    fn run(
+        mut self,
+        feed: spsc::Consumer<WorkUnit>,
+        done: spsc::Producer<UnitDone>,
+        bell: Arc<Doorbell>,
+    ) {
+        while let Some(work) = feed.pop_or_park() {
+            push_done(&done, self.serve(work));
+            bell.ring();
+        }
+    }
+
+    /// Serves one work unit or, once retired, hands it back whole: after
+    /// a fault verdict nothing this shard evaluates can be trusted.
+    fn serve(&mut self, work: WorkUnit) -> UnitDone {
+        let WorkUnit { seq, plan, batches } = work;
+        let served = match &self.retired {
+            Some(verdict) => Err(verdict.clone()),
+            None => self.serve_batches(seq, &plan, &batches),
+        };
+        let outcome = match served {
+            Ok((ledger, result)) => Outcome::Served { ledger, result },
+            Err(verdict) => {
+                self.retired = Some(verdict.clone());
+                Outcome::HandedBack { verdict, plan }
+            }
+        };
+        UnitDone {
+            seq,
+            worker: self.id,
+            batches,
+            outcome,
+        }
+    }
+
+    /// Runs every batch of a unit through its plan and scatters the
+    /// ones that evaluate, pre-aggregating one ledger for the run. A
+    /// failed batch keeps the unit going (the run reports its first
+    /// failure); a panicking batch is caught instead of killing the
+    /// thread.
+    ///
+    /// `Err` is a shard-fault verdict: the unit stops mid-way and is
+    /// handed back whole. Scatter is idempotent, so the healthy re-run
+    /// rewrites the same words over anything this shard already wrote.
+    fn serve_batches(
+        &mut self,
+        seq: u64,
+        plan: &CompiledPlan,
+        batches: &[PackedBatch],
+    ) -> Result<(UnitLedger, Result<(), NovaError>), String> {
+        let started = Instant::now();
+        let mut ledger = UnitLedger::default();
+        let mut result = Ok(());
+        for pb in batches {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.run_stages(plan, pb, &mut ledger)
+            }));
+            let failure = match run {
+                Ok(Ok(None)) => {
+                    ledger.batches += 1;
+                    ledger.queries += pb.len() as u64;
+                    ledger.latency += plan.lookups * self.unit.latency_cycles();
+                    ledger.padded += (pb.inputs.capacity() - pb.len()) as u64;
+                    self.scatter(pb);
+                    continue;
+                }
+                Ok(Ok(Some(lane))) => {
+                    return Err(format!(
+                        "shard worker {} canary mismatch at lane {lane} of work unit {seq}",
+                        self.id
+                    ))
+                }
+                Ok(Err(e)) => e,
+                Err(payload) => {
+                    self.current = None;
+                    let msg = format!(
+                        "shard worker {} panicked serving work unit {seq}: {}",
+                        self.id,
+                        panic_message(payload.as_ref())
+                    );
+                    if self.armed {
+                        return Err(msg);
+                    }
+                    NovaError::Runtime(msg)
+                }
+            };
+            if result.is_ok() {
+                result = Err(failure);
+            }
+        }
+        ledger.busy_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        Ok((ledger, result))
+    }
+
+    /// The stage interpreter: executes `plan` over one batch and leaves
+    /// the result words in `scratch`. `Ok(Some(lane))` is a canary
+    /// mismatch verdict.
+    ///
+    /// A lookup reads the packed inputs (as the first stage) or
+    /// `scratch`, re-programming the unit first when a different table
+    /// is loaded; row ops rewrite `scratch` in place, one span (= one
+    /// request row) at a time.
+    fn run_stages(
+        &mut self,
+        plan: &CompiledPlan,
+        pb: &PackedBatch,
+        ledger: &mut UnitLedger,
+    ) -> Result<Option<usize>, NovaError> {
+        if !matches!(plan.stages[0], StageOp::Lookup { .. }) {
+            self.scratch.copy_from(&pb.inputs);
+        }
+        let format = plan.format;
+        for (i, op) in plan.stages.iter().enumerate() {
+            match op {
+                StageOp::Lookup { key, table } => {
+                    if self.current != Some(*key) {
+                        ledger.switch_cycles += self.unit.switch_table(table)?;
+                        ledger.table_switches += 1;
+                        self.current = Some(*key);
+                    }
+                    let src = if i == 0 { &pb.inputs } else { &self.scratch };
+                    self.unit.lookup_batch_into(src, &mut self.pong)?;
+                    let mismatch = lookup_fault_hook(
+                        table,
+                        src.as_slice(),
+                        self.pong.as_mut_slice(),
+                        &mut self.injector,
+                        self.armed,
+                    );
+                    std::mem::swap(&mut self.scratch, &mut self.pong);
+                    if mismatch.is_some() {
+                        return Ok(mismatch);
+                    }
+                }
+                StageOp::MaxSubtract => {
+                    let lanes = self.scratch.as_mut_slice();
+                    for (span, _) in &pb.spans {
+                        row_max_subtract(&mut lanes[span.slots()], format);
+                    }
+                }
+                StageOp::SumRangeReduce => {
+                    let lanes = self.scratch.as_mut_slice();
+                    self.latch.clear();
+                    self.latch.extend(lanes.iter().map(|x| x.raw()));
+                    self.row_exps.clear();
+                    for (span, _) in &pb.spans {
+                        let row = &mut lanes[span.slots()];
+                        let red = row_sum_range_reduce(row, format);
+                        // Zero-sum rows broadcast an in-domain
+                        // placeholder; their RangeScale overwrites every
+                        // lane with the uniform fallback.
+                        let m_raw = red.map_or(format.scale(), |(m, _)| m);
+                        row.fill(Fixed::from_raw_saturating(m_raw, format));
+                        self.row_exps.push(red.map(|(_, e)| e));
+                    }
+                }
+                StageOp::RangeScale => {
+                    let lanes = self.scratch.as_mut_slice();
+                    for ((span, _), exp) in pb.spans.iter().zip(&self.row_exps) {
+                        let row = &mut lanes[span.slots()];
+                        match *exp {
+                            Some(e) => {
+                                for (x, &num) in row.iter_mut().zip(&self.latch[span.slots()]) {
+                                    *x = range_scale_lane(num, *x, e, format);
+                                }
+                            }
+                            // All numerators quantized to zero: uniform,
+                            // the same divide-by-zero guard as
+                            // `ApproxSoftmax::eval`.
+                            None => row.fill(Fixed::from_f64(
+                                1.0 / span.len as f64,
+                                format,
+                                plan.rounding,
+                            )),
+                        }
+                    }
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Copies a served batch's result words from `scratch` to their
+    /// ticket rows: one copy per span.
+    fn scatter(&self, pb: &PackedBatch) {
+        let words = self.scratch.as_slice();
+        for &(span, dst) in &pb.spans {
+            let src = &words[span.slots()];
+            // SAFETY: `dst` addresses `span.len` words of a pre-sized
+            // ticket row that no other span touches and that outlives
+            // this flight (see `PackedBatch::spans`); `src` is worker
+            // scratch, so the ranges cannot overlap.
+            #[allow(unsafe_code)]
+            unsafe {
+                std::ptr::copy_nonoverlapping(src.as_ptr(), dst, span.len);
+            }
+        }
+    }
 }
 
 impl ServingEngine {
@@ -1692,7 +1875,6 @@ impl ServingEngine {
     fn from_config_parts(
         config: ServingConfig,
         tables: Vec<(TableKey, Arc<QuantizedPwl>)>,
-        unit_cap: usize,
         fault_policy: Option<FaultPolicy>,
     ) -> Result<Self, NovaError> {
         config.validate()?;
@@ -1720,7 +1902,7 @@ impl ServingEngine {
                 })?;
             }
         }
-        Self::from_units(config, tables, unit_cap, fault_policy, units)
+        Self::from_units(config, tables, fault_policy, units)
     }
 
     /// Spawns the worker pool around pre-built units (also the test seam
@@ -1728,397 +1910,31 @@ impl ServingEngine {
     fn from_units(
         config: ServingConfig,
         tables: Vec<(TableKey, Arc<QuantizedPwl>)>,
-        unit_cap: usize,
         fault_policy: Option<FaultPolicy>,
         units: Vec<Box<dyn VectorUnit>>,
     ) -> Result<Self, NovaError> {
         let shards = units.len();
-        let initial_key = tables[0].0;
         let doorbell = Arc::new(Doorbell::new());
         let mut links = Vec::with_capacity(shards);
-        for (id, mut unit) in units.into_iter().enumerate() {
-            // Fault arming is resolved per shard before spawn: the
-            // canary width (None = disarmed) and this shard's injected
-            // fault, if the policy carries one.
-            let canary = fault_policy.as_ref().map(|p| p.canary_slots.max(1));
-            let mut injector = fault_policy.as_ref().and_then(|p| p.injector_for(id));
+        for (id, unit) in units.into_iter().enumerate() {
+            let worker = Worker {
+                id,
+                unit,
+                current: Some(tables[0].0),
+                scratch: FixedBatch::empty(),
+                pong: FixedBatch::empty(),
+                latch: Vec::new(),
+                row_exps: Vec::new(),
+                armed: fault_policy.is_some(),
+                injector: fault_policy.as_ref().and_then(|p| p.injector_for(id)),
+                retired: None,
+            };
             let (feed_tx, feed_rx) = spsc::ring::<WorkUnit>(WORKER_FEED_DEPTH);
             let (done_tx, done_rx) = spsc::ring::<UnitDone>(WORKER_DONE_DEPTH);
             let bell = Arc::clone(&doorbell);
             let handle = std::thread::Builder::new()
                 .name(format!("nova-serve-{id}"))
-                .spawn(move || {
-                    // The worker loop: parks (not spins) on an empty
-                    // feed ring and exits once the engine closes it and
-                    // the ring has drained. Each work unit carries a run
-                    // of same-plan batches: at most one table switch per
-                    // lookup stage, then per-batch stage execution +
-                    // scatter, then a single pre-aggregated completion —
-                    // so the ring traffic is amortized over the whole
-                    // run. A panicking unit is caught and surfaced as a
-                    // Runtime error instead of killing the thread.
-                    let mut current = Some(initial_key);
-                    // Worker-owned scratch: `scratch` always holds the
-                    // newest stage output (results are scattered from it
-                    // straight to ticket slots, so no output buffer ever
-                    // rides the rings); `pong` is the ping-pong partner
-                    // for chained lookups; `latch`/`row_exps` carry the
-                    // numerators and per-row exponents between a
-                    // SumRangeReduce and its RangeScale.
-                    let mut scratch = FixedBatch::empty();
-                    let mut pong = FixedBatch::empty();
-                    let mut latch: Vec<i64> = Vec::new();
-                    let mut row_exps: Vec<Option<i32>> = Vec::new();
-                    // Latched fault verdict: once set, this shard serves
-                    // nothing further — it drains its feed ring back to
-                    // the engine (see below) until the feed closes.
-                    let mut retired: Option<String> = None;
-                    'serve: loop {
-                        let work = loop {
-                            if let Some(u) = feed_rx.try_pop() {
-                                break u;
-                            }
-                            if feed_rx.is_closed() {
-                                // Re-pop after observing the close: the
-                                // engine's pushes happen before it, so a
-                                // miss now means dry forever.
-                                match feed_rx.try_pop() {
-                                    Some(u) => break u,
-                                    None => break 'serve,
-                                }
-                            }
-                            feed_rx.begin_park();
-                            if let Some(u) = feed_rx.try_pop() {
-                                feed_rx.end_park();
-                                break u;
-                            }
-                            if feed_rx.is_closed() {
-                                feed_rx.end_park();
-                                match feed_rx.try_pop() {
-                                    Some(u) => break u,
-                                    None => break 'serve,
-                                }
-                            }
-                            std::thread::park();
-                            feed_rx.end_park();
-                        };
-                        let WorkUnit { seq, plan, batches } = work;
-                        if let Some(why) = &retired {
-                            // Quarantine drain-back: this shard already
-                            // reported a fault, so nothing it evaluates
-                            // can be trusted. Hand every remaining unit
-                            // back whole (batches intact, plan riding
-                            // along) for the engine to requeue; the
-                            // engine's feed close ends the loop.
-                            let done = UnitDone {
-                                seq,
-                                worker: id,
-                                batches_ok: 0,
-                                queries_ok: 0,
-                                latency: 0,
-                                padded: 0,
-                                table_switches: 0,
-                                switch_cycles: 0,
-                                busy_ns: 0,
-                                recycled: batches,
-                                result: Ok(()),
-                                fault: Some(why.clone()),
-                                plan: Some(plan),
-                            };
-                            push_done(&done_tx, done);
-                            bell.ring();
-                            continue 'serve;
-                        }
-                        let started = Instant::now();
-                        let mut batches_ok = 0u64;
-                        let mut queries_ok = 0u64;
-                        let mut latency = 0u64;
-                        let mut padded = 0u64;
-                        let mut table_switches = 0u64;
-                        let mut switch_cycles = 0u64;
-                        let mut result: Result<(), NovaError> = Ok(());
-                        let mut unit_fault: Option<String> = None;
-                        for pb in &batches {
-                            if unit_fault.is_some() {
-                                // The shard is condemned: stop serving
-                                // mid-unit. The whole unit re-runs on a
-                                // healthy shard (scatter is idempotent,
-                                // so already-written batches rewrite the
-                                // same words).
-                                break;
-                            }
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if let Some((key, table)) = plan.single_lookup() {
-                                        // Trivial one-lookup plan: the
-                                        // pre-plan fast path, byte for
-                                        // byte.
-                                        if current != Some(*key) {
-                                            switch_cycles += unit.switch_table(table)?;
-                                            table_switches += 1;
-                                            current = Some(*key);
-                                        }
-                                        unit.lookup_batch_into(&pb.inputs, &mut scratch)?;
-                                        if let Some(lane) = lookup_fault_hook(
-                                            table,
-                                            pb.inputs.as_slice(),
-                                            scratch.as_mut_slice(),
-                                            &mut injector,
-                                            canary,
-                                        ) {
-                                            unit_fault = Some(format!(
-                                                "shard worker {id} canary mismatch at lane \
-                                                 {lane} of work unit {seq}"
-                                            ));
-                                            return Err(NovaError::Runtime(
-                                                "canary mismatch".into(),
-                                            ));
-                                        }
-                                        return Ok(());
-                                    }
-                                    // Fused plan: run the stage sequence,
-                                    // ping-ponging lookups through the
-                                    // two scratch grids and mutating row
-                                    // ops in place. `first` marks that
-                                    // the next stage still reads the
-                                    // packed inputs.
-                                    let mut first = true;
-                                    for op in &plan.stages {
-                                        match op {
-                                            StageOp::Lookup { key, table } => {
-                                                if current != Some(*key) {
-                                                    switch_cycles += unit.switch_table(table)?;
-                                                    table_switches += 1;
-                                                    current = Some(*key);
-                                                }
-                                                let mismatch = if first {
-                                                    unit.lookup_batch_into(
-                                                        &pb.inputs,
-                                                        &mut scratch,
-                                                    )?;
-                                                    first = false;
-                                                    lookup_fault_hook(
-                                                        table,
-                                                        pb.inputs.as_slice(),
-                                                        scratch.as_mut_slice(),
-                                                        &mut injector,
-                                                        canary,
-                                                    )
-                                                } else {
-                                                    unit.lookup_batch_into(&scratch, &mut pong)?;
-                                                    // Canary-check the fresh
-                                                    // words against their
-                                                    // stage inputs before the
-                                                    // ping-pong swap.
-                                                    let m = lookup_fault_hook(
-                                                        table,
-                                                        scratch.as_slice(),
-                                                        pong.as_mut_slice(),
-                                                        &mut injector,
-                                                        canary,
-                                                    );
-                                                    std::mem::swap(&mut scratch, &mut pong);
-                                                    m
-                                                };
-                                                if let Some(lane) = mismatch {
-                                                    unit_fault = Some(format!(
-                                                        "shard worker {id} canary mismatch \
-                                                         at lane {lane} of work unit {seq}"
-                                                    ));
-                                                    return Err(NovaError::Runtime(
-                                                        "canary mismatch".into(),
-                                                    ));
-                                                }
-                                            }
-                                            StageOp::MaxSubtract => {
-                                                if first {
-                                                    scratch.copy_from(&pb.inputs);
-                                                    first = false;
-                                                }
-                                                let lanes = scratch.as_mut_slice();
-                                                for &(start, len) in &pb.rows {
-                                                    row_max_subtract(
-                                                        &mut lanes[start..start + len],
-                                                        plan.format,
-                                                    );
-                                                }
-                                            }
-                                            StageOp::SumRangeReduce => {
-                                                if first {
-                                                    scratch.copy_from(&pb.inputs);
-                                                    first = false;
-                                                }
-                                                latch.clear();
-                                                latch.extend(
-                                                    scratch.as_slice().iter().map(|x| x.raw()),
-                                                );
-                                                row_exps.clear();
-                                                let lanes = scratch.as_mut_slice();
-                                                for &(start, len) in &pb.rows {
-                                                    let red = row_sum_range_reduce(
-                                                        &lanes[start..start + len],
-                                                        plan.format,
-                                                    );
-                                                    // Zero-sum rows broadcast an
-                                                    // in-domain placeholder; their
-                                                    // RangeScale overwrites every
-                                                    // lane with the uniform
-                                                    // fallback.
-                                                    let m_raw =
-                                                        red.map_or(plan.format.scale(), |(m, _)| m);
-                                                    let m = Fixed::from_raw_saturating(
-                                                        m_raw,
-                                                        plan.format,
-                                                    );
-                                                    lanes[start..start + len].fill(m);
-                                                    row_exps.push(red.map(|(_, e)| e));
-                                                }
-                                            }
-                                            StageOp::RangeScale => {
-                                                if first {
-                                                    scratch.copy_from(&pb.inputs);
-                                                    first = false;
-                                                }
-                                                let lanes = scratch.as_mut_slice();
-                                                for (ri, &(start, len)) in
-                                                    pb.rows.iter().enumerate()
-                                                {
-                                                    match row_exps.get(ri).copied().flatten() {
-                                                        Some(e) => {
-                                                            for k in start..start + len {
-                                                                lanes[k] = range_scale_lane(
-                                                                    latch[k],
-                                                                    lanes[k],
-                                                                    e,
-                                                                    plan.format,
-                                                                );
-                                                            }
-                                                        }
-                                                        None => {
-                                                            // All numerators quantized
-                                                            // to zero: uniform, the same
-                                                            // divider-by-zero guard as
-                                                            // `ApproxSoftmax::eval`.
-                                                            let uniform = Fixed::from_f64(
-                                                                1.0 / len as f64,
-                                                                plan.format,
-                                                                plan.rounding,
-                                                            );
-                                                            lanes[start..start + len].fill(uniform);
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                    Ok(())
-                                }));
-                            match outcome {
-                                Ok(Ok(())) => {
-                                    latency += plan.lookups * unit.latency_cycles();
-                                    batches_ok += 1;
-                                    queries_ok += pb.len as u64;
-                                    padded += (pb.inputs.capacity() - pb.len) as u64;
-                                    // SAFETY: `pb.dst` points at `pb.len`
-                                    // `OutSlot`s inside the owning
-                                    // ticket's scatter vector, each
-                                    // naming a distinct slot of a
-                                    // pre-sized output row; both outlive
-                                    // this flight (the engine joins the
-                                    // pool before dropping in-flight
-                                    // tickets) and nothing else touches
-                                    // these slots until the completion
-                                    // below is routed — see `OutSlot`.
-                                    #[allow(unsafe_code)]
-                                    unsafe {
-                                        let words = scratch.as_slice();
-                                        for (k, &y) in words[..pb.len].iter().enumerate() {
-                                            *(*pb.dst.add(k)).0 = y;
-                                        }
-                                    }
-                                }
-                                Ok(Err(e)) => {
-                                    // A canary mismatch latched a fault
-                                    // verdict and aborted the batch with
-                                    // a sentinel error; everything else
-                                    // keeps the run's first
-                                    // (lowest-batch) failure — later
-                                    // batches still run, exactly like
-                                    // the per-batch pipeline did.
-                                    if unit_fault.is_none() && result.is_ok() {
-                                        result = Err(e);
-                                    }
-                                }
-                                Err(payload) => {
-                                    // The panic may have left the unit
-                                    // half-mutated (AssertUnwindSafe
-                                    // waives the compiler's protection):
-                                    // forget the programmed table so the
-                                    // next batch re-programs
-                                    // unconditionally instead of trusting
-                                    // corrupted banks.
-                                    current = None;
-                                    let msg = format!(
-                                        "shard worker {id} panicked serving work unit {seq}: {}",
-                                        panic_message(payload.as_ref())
-                                    );
-                                    if canary.is_some() {
-                                        // Armed policy: a panic is a
-                                        // shard fault, not a slate
-                                        // failure — quarantine and
-                                        // requeue instead of erroring.
-                                        unit_fault = Some(msg);
-                                    } else if result.is_ok() {
-                                        result = Err(NovaError::Runtime(msg));
-                                    }
-                                }
-                            }
-                        }
-                        let busy_ns =
-                            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        let done = if let Some(why) = unit_fault {
-                            // Shard fault: the unit reports zero work (the
-                            // healthy re-run is the one the ledger counts —
-                            // anything this shard touched is untrusted) and
-                            // carries its batches and plan back for requeue.
-                            // This shard serves nothing further.
-                            retired = Some(why.clone());
-                            UnitDone {
-                                seq,
-                                worker: id,
-                                batches_ok: 0,
-                                queries_ok: 0,
-                                latency: 0,
-                                padded: 0,
-                                table_switches: 0,
-                                switch_cycles: 0,
-                                busy_ns: 0,
-                                recycled: batches,
-                                result: Ok(()),
-                                fault: Some(why),
-                                plan: Some(plan),
-                            }
-                        } else {
-                            UnitDone {
-                                seq,
-                                worker: id,
-                                batches_ok,
-                                queries_ok,
-                                latency,
-                                padded,
-                                table_switches,
-                                switch_cycles,
-                                busy_ns,
-                                recycled: batches,
-                                result,
-                                fault: None,
-                                plan: None,
-                            }
-                        };
-                        push_done(&done_tx, done);
-                        bell.ring();
-                    }
-                })
+                .spawn(move || worker.run(feed_rx, done_tx, bell))
                 .map_err(|e| NovaError::Runtime(format!("spawning shard worker {id}: {e}")))?;
             links.push(ShardLink {
                 feed: feed_tx,
@@ -2141,16 +1957,14 @@ impl ServingEngine {
             loads: vec![WorkerLoad::default(); shards],
             requests_served: 0,
             padded_slots: 0,
-            spare_inputs: Vec::new(),
+            spare_batches: Vec::new(),
             spare_units: Vec::new(),
-            spare_rows: Vec::new(),
-            spare_scatter: Vec::new(),
+            spans: Vec::new(),
             buffers_created: 0,
             next_seq: 0,
             next_ticket: 0,
             pending: VecDeque::new(),
             inflight: Vec::new(),
-            unit_cap: unit_cap.max(1),
             admit_ns: 0,
             finalize_ns: 0,
             requeue_ns: 0,
@@ -2265,7 +2079,7 @@ impl ServingEngine {
     /// them, between `serve` calls).
     #[must_use]
     pub fn buffer_pool_len(&self) -> usize {
-        self.spare_inputs.len()
+        self.spare_batches.len()
     }
 
     /// Wall-clock attribution of where serving time has gone since
@@ -2385,6 +2199,7 @@ impl ServingEngine {
             rounding,
             pad: pad.expect("validated plans have a lookup stage"),
             lookups,
+            fused: plan.is_fused(),
         });
         self.programs.insert(plan.clone(), Arc::clone(&compiled));
         Ok(compiled)
@@ -2440,7 +2255,7 @@ impl ServingEngine {
     /// fixed-depth SPSC rings (backpressure, not unbounded queueing).
     /// Workers re-program their unit between runs of different
     /// activations, charging the per-kind switch stall to
-    /// [`WorkerLoad::switch_cycles`], and scatter each result word
+    /// [`WorkerLoad::switch_cycles`], and copy each span's result words
     /// straight into its request's output row; completion is then just
     /// a watermark advance, and the assembled outputs align with
     /// `requests` — bit-identical to evaluating each query through its
@@ -2475,55 +2290,53 @@ impl ServingEngine {
     /// # Errors
     ///
     /// Returns [`NovaError::Runtime`] when a request names an activation
-    /// with no resident table (nothing is dispatched), or when the
-    /// engine was poisoned by a dead worker pool.
+    /// with no resident table, [`NovaError::BatchShape`] for a malformed
+    /// plan or a fused row wider than one batch (nothing is dispatched
+    /// either way), and the latched error when the engine was poisoned
+    /// by a dead worker pool.
     pub fn submit(&mut self, requests: &[ServingRequest]) -> Result<Ticket, NovaError> {
         self.check_poisoned()?;
         let started = Instant::now();
         let capacity = self.capacity();
-        let nshards = self.shards.len();
-        // Compile every plan up front: a slate naming a non-resident
-        // activation, carrying a malformed plan, or reducing over a row
-        // wider than one batch is rejected before any buffer or counter
-        // moves. (Plan compilation mutates only the memo cache, which
-        // is invisible to accounting.)
-        let mut plan_of: Vec<Arc<CompiledPlan>> = Vec::with_capacity(requests.len());
-        for request in requests {
-            let compiled = self.compile_plan(&request.plan)?;
-            if compiled.single_lookup().is_none() && request.inputs.len() > capacity {
-                return Err(NovaError::BatchShape(format!(
-                    "fused-plan request of {} queries exceeds the engine's batch \
-                     capacity {capacity} (routers × neurons): reduce stages span a \
-                     request's whole row, so it must fit one batch",
-                    request.inputs.len(),
-                )));
-            }
-            plan_of.push(compiled);
-        }
-        // Group requests into per-plan runs, in first-appearance order.
-        // Plan memoization makes equal plans pointer-equal, so the
-        // grouping (and therefore the packing, sequence numbering and
-        // checksums) of single-lookup slates is exactly the per-table
-        // grouping of the tagged-request surface.
+        // Compile every plan up front and group requests into per-plan
+        // runs, in first-appearance order: a slate naming a non-resident
+        // activation or carrying a malformed plan is rejected before any
+        // buffer or counter moves. (Plan compilation mutates only the
+        // memo cache, which is invisible to accounting.) Memoization
+        // makes equal plans pointer-equal, so groups form by identity.
         let mut group_of: Vec<usize> = Vec::with_capacity(requests.len());
-        let mut group_plans: Vec<Arc<CompiledPlan>> = Vec::new();
-        let mut group_sizes: Vec<usize> = Vec::new();
-        for (ri, request) in requests.iter().enumerate() {
-            let g = match group_plans
-                .iter()
-                .position(|p| Arc::ptr_eq(p, &plan_of[ri]))
-            {
+        let mut groups: Vec<Arc<CompiledPlan>> = Vec::new();
+        for request in requests {
+            let plan = self.compile_plan(&request.plan)?;
+            let g = match groups.iter().position(|p| Arc::ptr_eq(p, &plan)) {
                 Some(g) => g,
                 None => {
-                    group_plans.push(Arc::clone(&plan_of[ri]));
-                    group_sizes.push(0);
-                    group_plans.len() - 1
+                    groups.push(plan);
+                    groups.len() - 1
                 }
             };
-            group_sizes[g] += request.inputs.len();
             group_of.push(g);
         }
-        let total: usize = group_sizes.iter().sum();
+        // Lay every group out before anything dispatches, so a fused row
+        // wider than one batch also rejects the slate up front.
+        self.spans.clear();
+        let mut layouts = Vec::with_capacity(groups.len());
+        for (g, plan) in groups.iter().enumerate() {
+            let members = requests
+                .iter()
+                .enumerate()
+                .filter(|&(ri, _)| group_of[ri] == g)
+                .map(|(ri, request)| (ri, request.inputs.len()));
+            let layout = pack(
+                members,
+                plan.fused,
+                capacity,
+                self.shards.len(),
+                MAX_UNIT_BATCHES,
+                &mut self.spans,
+            )?;
+            layouts.push((layout, self.spans.len()));
+        }
         // Pre-size every output row to its final length (the fill value
         // is the plan's pad, overwritten wherever evaluation succeeds):
         // workers scatter result words straight into these rows, so a
@@ -2531,182 +2344,42 @@ impl ServingEngine {
         // in flight.
         let mut outputs: Vec<Vec<Fixed>> = requests
             .iter()
-            .enumerate()
-            .map(|(ri, r)| vec![group_plans[group_of[ri]].pad; r.inputs.len()])
+            .zip(&group_of)
+            .map(|(request, &g)| vec![groups[g].pad; request.inputs.len()])
             .collect();
-        // The scatter surface: reserved to its exact final length up
-        // front, so the base pointer below stays valid for every
-        // in-flight `PackedBatch::dst` derived from it.
-        let mut scatter = self.spare_scatter.pop().unwrap_or_default();
-        scatter.clear();
-        scatter.reserve(total);
-        let scatter_base: *const OutSlot = scatter.as_ptr();
+        // Seal each group's batches into units of `K`. Batch shells and
+        // unit shells come from the recycling pools: once the pipeline
+        // has warmed up, admission performs no per-batch allocation.
+        let spans = std::mem::take(&mut self.spans);
         let base_seq = self.next_seq;
-        let mut jobs = 0usize;
-        // Pack each run into batches and seal runs of up to K batches
-        // into work units. The pad value is in-domain for the plan's
-        // first lookup table by construction (the lower clamp bound),
-        // so padded lanes can never fault; their outputs are simply
-        // never scattered anywhere. Single-lookup runs pack
-        // query-continuously (requests split across batches freely);
-        // fused runs pack row-aligned — a request's row never splits,
-        // because the reduce stages span it. Input buffers, row maps
-        // and unit shells come from the recycling pools: once the
-        // pipeline has warmed up, admission performs no per-batch heap
-        // allocation.
-        for g in 0..group_plans.len() {
-            let plan = Arc::clone(&group_plans[g]);
-            let run_queries = group_sizes[g];
-            if run_queries == 0 {
-                continue;
-            }
-            let fused = plan.single_lookup().is_none();
-            let pad = plan.pad;
-            let run_batches = if fused {
-                // Row-aligned dry run: count the batches the packing
-                // below will produce, for the adaptive K only.
-                let mut batches = 0usize;
-                let mut fill = 0usize;
-                for (ri, request) in requests.iter().enumerate() {
-                    if group_of[ri] != g || request.inputs.is_empty() {
-                        continue;
-                    }
-                    if fill + request.inputs.len() > capacity {
-                        batches += 1;
-                        fill = 0;
-                    }
-                    fill += request.inputs.len();
+        let mut start = 0;
+        for (plan, (layout, end)) in groups.iter().zip(layouts) {
+            // A span at grid slot 0 opens the next batch.
+            let mut batches = spans[start..end]
+                .chunk_by(|_, next| next.slot != 0)
+                .peekable();
+            while batches.peek().is_some() {
+                let mut unit = self.spare_units.pop().unwrap_or_default();
+                for batch in batches.by_ref().take(layout.unit_batches) {
+                    unit.push(self.fill_batch(plan.pad, batch, requests, &mut outputs));
                 }
-                batches + usize::from(fill > 0)
-            } else {
-                run_queries.div_ceil(capacity)
-            };
-            // Adaptive K: a run deep enough to keep every shard at least
-            // two units busy fattens its units (amortizing ring hops and
-            // bookkeeping), a shallow one stays at one batch per unit so
-            // tail latency and shard spread are unhurt at low load.
-            let k = run_batches
-                .div_ceil(2 * nshards.max(1))
-                .clamp(1, self.unit_cap);
-            let mut unit_batches = self.spare_units.pop().unwrap_or_default();
-            let mut inputs = self.checkout_inputs(pad);
-            let mut rows = if fused {
-                self.checkout_rows()
-            } else {
-                Vec::new()
-            };
-            let mut batch_len = 0usize;
-            let mut batch_start = scatter.len();
-            let mut packed = 0usize;
-            for (ri, request) in requests.iter().enumerate() {
-                if group_of[ri] != g {
-                    continue;
-                }
-                if fused {
-                    if request.inputs.is_empty() {
-                        continue;
-                    }
-                    if batch_len + request.inputs.len() > capacity {
-                        // Seal the row-aligned batch: pad its tail
-                        // in-domain. (A follow-up row is guaranteed, so
-                        // the fresh checkouts below are always used.)
-                        inputs.as_mut_slice()[batch_len..].fill(pad);
-                        unit_batches.push(PackedBatch {
-                            inputs: std::mem::replace(&mut inputs, FixedBatch::empty()),
-                            len: batch_len,
-                            rows: std::mem::take(&mut rows),
-                            dst: scatter_base.wrapping_add(batch_start),
-                        });
-                        packed += 1;
-                        batch_len = 0;
-                        batch_start = scatter.len();
-                        if unit_batches.len() == k {
-                            self.pending.push_back(WorkUnit {
-                                seq: self.next_seq,
-                                plan: Arc::clone(&plan),
-                                batches: std::mem::take(&mut unit_batches),
-                            });
-                            self.next_seq += 1;
-                            jobs += 1;
-                            unit_batches = self.spare_units.pop().unwrap_or_default();
-                        }
-                        inputs = self.checkout_inputs(pad);
-                        rows = self.checkout_rows();
-                    }
-                    let row = &mut outputs[ri];
-                    rows.push((batch_len, request.inputs.len()));
-                    for (qi, &x) in request.inputs.iter().enumerate() {
-                        inputs.as_mut_slice()[batch_len] = x;
-                        scatter.push(OutSlot(&mut row[qi]));
-                        batch_len += 1;
-                    }
-                    continue;
-                }
-                let row = &mut outputs[ri];
-                for (qi, &x) in request.inputs.iter().enumerate() {
-                    inputs.as_mut_slice()[batch_len] = x;
-                    scatter.push(OutSlot(&mut row[qi]));
-                    batch_len += 1;
-                    if batch_len == capacity {
-                        unit_batches.push(PackedBatch {
-                            inputs: std::mem::replace(&mut inputs, FixedBatch::empty()),
-                            len: batch_len,
-                            rows: Vec::new(),
-                            dst: scatter_base.wrapping_add(batch_start),
-                        });
-                        packed += 1;
-                        batch_len = 0;
-                        batch_start = scatter.len();
-                        if unit_batches.len() == k {
-                            self.pending.push_back(WorkUnit {
-                                seq: self.next_seq,
-                                plan: Arc::clone(&plan),
-                                batches: std::mem::take(&mut unit_batches),
-                            });
-                            self.next_seq += 1;
-                            jobs += 1;
-                            if packed < run_batches {
-                                unit_batches = self.spare_units.pop().unwrap_or_default();
-                            }
-                        }
-                        if packed < run_batches {
-                            inputs = self.checkout_inputs(pad);
-                        }
-                    }
-                }
-            }
-            if batch_len > 0 {
-                // The run's ragged tail: pad the unused slots in-domain.
-                inputs.as_mut_slice()[batch_len..].fill(pad);
-                unit_batches.push(PackedBatch {
-                    inputs,
-                    len: batch_len,
-                    rows,
-                    dst: scatter_base.wrapping_add(batch_start),
-                });
-            }
-            if unit_batches.is_empty() {
-                if unit_batches.capacity() > 0 {
-                    self.spare_units.push(unit_batches);
-                }
-            } else {
                 self.pending.push_back(WorkUnit {
                     seq: self.next_seq,
-                    plan,
-                    batches: unit_batches,
+                    plan: Arc::clone(plan),
+                    batches: unit,
                 });
                 self.next_seq += 1;
-                jobs += 1;
             }
+            start = end;
         }
+        self.spans = spans;
         let id = self.next_ticket;
         self.next_ticket += 1;
         self.inflight.push(TicketState {
             id,
             base_seq,
-            jobs,
+            jobs: usize::try_from(self.next_seq - base_seq).expect("unit count fits usize"),
             received: 0,
-            scatter,
             outputs,
             request_count: requests.len(),
             failure: None,
@@ -2725,29 +2398,33 @@ impl ServingEngine {
         Ok(Ticket(id))
     }
 
-    /// Pops a recycled input buffer (minting one if the pool is dry) and
-    /// guarantees it carries the engine grid.
-    fn checkout_inputs(&mut self, pad: Fixed) -> FixedBatch {
-        let mut inputs = match self.spare_inputs.pop() {
-            Some(buf) => buf,
-            None => {
-                self.buffers_created += 1;
-                FixedBatch::new(self.routers, self.neurons, pad)
+    /// Pops a recycled batch shell (minting one if the pool is dry) and
+    /// packs one batch into it: each span's request words into its grid
+    /// slots, the in-domain `pad` into the tail slots (their outputs are
+    /// never scattered), and each span's output destination.
+    fn fill_batch(
+        &mut self,
+        pad: Fixed,
+        spans: &[Span],
+        requests: &[ServingRequest],
+        outputs: &mut [Vec<Fixed>],
+    ) -> PackedBatch {
+        let mut pb = self.spare_batches.pop().unwrap_or_else(|| {
+            self.buffers_created += 1;
+            PackedBatch {
+                inputs: FixedBatch::new(self.routers, self.neurons, pad),
+                spans: Vec::new(),
             }
-        };
-        // Pool-recycled buffers already carry the engine grid; only a
-        // freshly minted (or foreign) buffer reshapes.
-        if inputs.dims() != (self.routers, self.neurons) {
-            inputs.reset(self.routers, self.neurons, pad);
+        });
+        for &span in spans {
+            pb.inputs.as_mut_slice()[span.slots()]
+                .copy_from_slice(&requests[span.request].inputs[span.queries()]);
+            let dst = outputs[span.request].as_mut_ptr().wrapping_add(span.offset);
+            pb.spans.push((span, dst));
         }
-        inputs
-    }
-
-    /// Pops a recycled row map for a fused batch (minting one if the
-    /// pool is dry). Row maps are tiny, but recycling them keeps the
-    /// fused steady state allocation-free like the single-lookup path.
-    fn checkout_rows(&mut self) -> Vec<(usize, usize)> {
-        self.spare_rows.pop().unwrap_or_default()
+        let len = pb.len();
+        pb.inputs.as_mut_slice()[len..].fill(pad);
+        pb
     }
 
     /// Blocks until `ticket` finishes and returns its result — the
@@ -2826,10 +2503,21 @@ impl ServingEngine {
     fn pump(&mut self) -> Result<(), NovaError> {
         for s in 0..self.shards.len() {
             while let Some(done) = self.shards[s].done.try_pop() {
-                if done.fault.is_some() {
-                    self.handle_fault(s, done)?;
-                } else {
-                    self.route(done);
+                let UnitDone {
+                    seq,
+                    worker,
+                    batches,
+                    outcome,
+                } = done;
+                self.shards[worker].outstanding -= 1;
+                match outcome {
+                    Outcome::Served { ledger, result } => {
+                        self.route(seq, worker, batches, &ledger, result);
+                    }
+                    Outcome::HandedBack { verdict, plan } => {
+                        let unit = WorkUnit { seq, plan, batches };
+                        self.handle_fault(worker, unit, &verdict)?;
+                    }
                 }
             }
             // A closed (and now drained) completion ring means its
@@ -2910,97 +2598,64 @@ impl ServingEngine {
         self.healthy.retain(|&h| h != s);
     }
 
-    /// One fault completion from shard `s`: quarantines the shard (first
-    /// verdict only) and re-admits the returned unit — batches intact,
-    /// plan riding along — to the healthy routing set. Scatter is
-    /// idempotent (workers write result words through per-slot pointers),
-    /// so the healthy re-run lands bit-identically even if the faulty
-    /// shard partially scattered before its canary tripped.
+    /// One handed-back unit from shard `s`: quarantines the shard (first
+    /// verdict only) and re-admits the unit — batches intact, plan
+    /// riding along — to the healthy routing set. Scatter is idempotent
+    /// (every span copies to a fixed destination), so the healthy
+    /// re-run lands bit-identically even if the faulty shard partially
+    /// scattered before its canary tripped.
     ///
     /// # Errors
     ///
     /// Poisons the engine when the quarantine empties the healthy set:
     /// with no shard left to re-run on, the slate can never complete.
-    fn handle_fault(&mut self, s: usize, done: UnitDone) -> Result<(), NovaError> {
+    fn handle_fault(&mut self, s: usize, unit: WorkUnit, verdict: &str) -> Result<(), NovaError> {
         let started = Instant::now();
-        let UnitDone {
-            seq,
-            recycled,
-            fault,
-            plan,
-            ..
-        } = done;
-        let why = fault.unwrap_or_else(|| "unreported shard fault".into());
-        self.shards[s].outstanding -= 1;
         self.quarantine(s);
-        let outcome = match plan {
-            _ if self.healthy.is_empty() => Err(self.poison(&format!(
-                "all shard workers quarantined; last verdict: {why}"
-            ))),
-            Some(plan) => {
-                self.requeued_units += 1;
-                self.pending.push_back(WorkUnit {
-                    seq,
-                    plan,
-                    batches: recycled,
-                });
-                Ok(())
-            }
-            None => Err(self.poison(&format!(
-                "shard worker {s} reported a fault without returning its plan: {why}"
-            ))),
+        let outcome = if self.healthy.is_empty() {
+            Err(self.poison(&format!(
+                "all shard workers quarantined; last verdict: {verdict}"
+            )))
+        } else {
+            self.requeued_units += 1;
+            self.pending.push_back(unit);
+            Ok(())
         };
         self.requeue_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         outcome
     }
 
-    /// Files one completion with its in-flight ticket: rolls the
-    /// pre-aggregated counters into the worker's load, recycles the
-    /// unit's buffers and advances the ticket's watermark. (The result
-    /// words were already scattered in place by the worker.)
-    fn route(&mut self, done: UnitDone) {
-        let UnitDone {
-            seq,
-            worker,
-            batches_ok,
-            queries_ok,
-            latency,
-            padded,
-            table_switches,
-            switch_cycles,
-            busy_ns,
-            recycled,
-            result,
-            fault: _,
-            plan: _,
-        } = done;
-        self.shards[worker].outstanding -= 1;
+    /// Files one served unit with its in-flight ticket: rolls its
+    /// ledger into the worker's load, recycles the batch shells and
+    /// advances the ticket's watermark. (The result words were already
+    /// scattered in place by the worker.)
+    fn route(
+        &mut self,
+        seq: u64,
+        worker: usize,
+        mut batches: Vec<PackedBatch>,
+        ledger: &UnitLedger,
+        result: Result<(), NovaError>,
+    ) {
         // A switch the worker performed really re-programmed the unit —
         // later runs of that activation won't switch again — so the
         // ledger counts it even when the run's lookups then failed (only
         // the batch/query counters are conditional on success).
-        {
-            let load = &mut self.loads[worker];
-            load.jobs += 1;
-            load.batches += batches_ok;
-            load.queries += queries_ok;
-            load.cycles += latency;
-            load.table_switches += table_switches;
-            load.switch_cycles += switch_cycles;
-            load.busy_ns += busy_ns;
-        }
-        self.padded_slots += padded;
-        // Success or failure, the buffers return to the pools.
-        let mut shell = recycled;
-        for pb in shell.drain(..) {
-            self.spare_inputs.push(pb.inputs);
-            let mut rows = pb.rows;
-            if rows.capacity() > 0 {
-                rows.clear();
-                self.spare_rows.push(rows);
-            }
-        }
-        self.spare_units.push(shell);
+        let load = &mut self.loads[worker];
+        load.jobs += 1;
+        load.batches += ledger.batches;
+        load.queries += ledger.queries;
+        load.cycles += ledger.latency;
+        load.table_switches += ledger.table_switches;
+        load.switch_cycles += ledger.switch_cycles;
+        load.busy_ns += ledger.busy_ns;
+        self.padded_slots += ledger.padded;
+        // Success or failure, the shells return to the pools.
+        self.spare_batches.extend(batches.drain(..).map(|mut pb| {
+            pb.spans.clear();
+            pb
+        }));
+        self.spare_units.push(batches);
         let idx = self
             .inflight
             .partition_point(|t| t.base_seq + t.jobs as u64 <= seq);
@@ -3082,20 +2737,15 @@ impl ServingEngine {
     /// Completion bookkeeping for one finished ticket — a watermark
     /// advance, not a reorder: the workers already scattered every
     /// result word into the pre-sized output rows, so all that is left
-    /// is recycling the scatter surface and judging the slate.
+    /// is judging the slate.
     fn finalize(&mut self, state: TicketState) -> Result<Vec<Vec<Fixed>>, NovaError> {
         let started = Instant::now();
         let TicketState {
-            mut scatter,
             outputs,
             request_count,
             failure,
             ..
         } = state;
-        // Every unit has completed: no live `PackedBatch::dst` aliases
-        // the scatter surface any more, so it can be recycled.
-        scatter.clear();
-        self.spare_scatter.push(scatter);
         let verdict = match failure {
             Some((_, e)) => Err(e),
             None => {
@@ -3973,9 +3623,7 @@ mod tests {
         };
         let units: Vec<Box<dyn VectorUnit>> =
             vec![Box::new(PanickingUnit), Box::new(PanickingUnit)];
-        let mut eng =
-            ServingEngine::from_units(config, vec![(key, table)], MAX_UNIT_BATCHES, None, units)
-                .unwrap();
+        let mut eng = ServingEngine::from_units(config, vec![(key, table)], None, units).unwrap();
         let err = eng.serve(&requests(2, 10, 30)).unwrap_err();
         assert!(
             matches!(&err, NovaError::Runtime(msg) if msg.contains("panicked")),

@@ -19,7 +19,7 @@
 //!   store, the consumer retires with one `head` store; there is no
 //!   lock anywhere;
 //! - **park, don't spin** — a consumer with nothing to pop parks its
-//!   thread ([`Consumer::begin_park`]); the producer's push hands it a
+//!   thread ([`Consumer::pop_or_park`]); the producer's push hands it a
 //!   wakeup only when the parked flag is raised, so the idle path costs
 //!   a load, not a syscall.
 //!
@@ -44,7 +44,8 @@
 //! - FIFO, no lost or duplicated items → `fifo_no_lost_items`
 //! - producer-side close hands every in-flight item back (the
 //!   quarantine handshake) → `close_then_join_hands_every_item_back`
-//! - begin_park / re-check / park never misses a wakeup →
+//! - [`Consumer::pop_or_park`] — the serving worker's feed loop, run
+//!   verbatim by every consumer in the suite — never misses a wakeup →
 //!   `parked_consumer_never_misses_wakeup` (and the checker *catches*
 //!   the variant with the re-check removed — see
 //!   `missing_recheck_after_raise_is_caught_as_lost_wakeup` in
@@ -92,25 +93,8 @@
 //!
 //! let (tx, rx) = spsc::ring::<u32>(4);
 //! let worker = std::thread::spawn(move || {
-//!     let mut got = Vec::new();
-//!     loop {
-//!         if let Some(v) = rx.try_pop() {
-//!             got.push(v);
-//!             continue;
-//!         }
-//!         if rx.is_closed() {
-//!             // Drain-after-close: pushes happen before the close.
-//!             while let Some(v) = rx.try_pop() {
-//!                 got.push(v);
-//!             }
-//!             return got;
-//!         }
-//!         rx.begin_park();
-//!         if rx.try_pop().is_none() && !rx.is_closed() {
-//!             std::thread::park();
-//!         }
-//!         rx.end_park();
-//!     }
+//!     // Parks while the ring is empty; `None` once closed and drained.
+//!     std::iter::from_fn(|| rx.pop_or_park()).collect::<Vec<_>>()
 //! });
 //! for v in 0..8 {
 //!     let mut v = v;
@@ -387,6 +371,35 @@ impl<T> Consumer<T> {
         value.into()
     }
 
+    /// Pops the oldest item, parking the calling thread while the ring
+    /// is empty. Returns `None` only once the ring is closed *and*
+    /// drained — every item pushed before the close is still delivered.
+    ///
+    /// This is the [`begin_park`](Self::begin_park) protocol with its
+    /// re-check: an item the re-check pops is returned, never dropped.
+    #[must_use]
+    pub fn pop_or_park(&self) -> Option<T> {
+        loop {
+            if let Some(item) = self.try_pop() {
+                return Some(item);
+            }
+            if self.is_closed() {
+                // Drain-after-close: every push happened before the
+                // close, so a miss now is final.
+                return self.try_pop();
+            }
+            self.begin_park();
+            let item = self.try_pop();
+            if item.is_none() && !self.is_closed() {
+                nova_check::sync::thread::park();
+            }
+            self.end_park();
+            if item.is_some() {
+                return item;
+            }
+        }
+    }
+
     /// Whether the ring holds nothing right now. Safe as the re-check
     /// between [`Doorbell::arm`] (or [`begin_park`](Self::begin_park))
     /// and a park: a push it cannot see is guaranteed to ring/wake.
@@ -421,7 +434,10 @@ impl<T> Consumer<T> {
     /// [`is_closed`](Self::is_closed)), and only if both still say
     /// "nothing to do" call [`std::thread::park`]; then
     /// [`end_park`](Self::end_park). The re-check closes the race with
-    /// a push that landed between the first failed pop and the flag.
+    /// a push that landed between the first failed pop and the flag,
+    /// and an item it pops must be kept.
+    /// [`pop_or_park`](Self::pop_or_park) is this protocol; use the
+    /// pieces directly only for a different wait.
     pub fn begin_park(&self) {
         self.inner
             .resident
@@ -625,26 +641,8 @@ mod tests {
         // The park protocol at the degenerate depth: the consumer parks
         // between every element, the producer retries through Full.
         let (tx, rx) = ring::<u64>(1);
-        let consumer = std::thread::spawn(move || {
-            let mut got = Vec::new();
-            loop {
-                if let Some(v) = rx.try_pop() {
-                    got.push(v);
-                    continue;
-                }
-                if rx.is_closed() {
-                    while let Some(v) = rx.try_pop() {
-                        got.push(v);
-                    }
-                    return got;
-                }
-                rx.begin_park();
-                if rx.try_pop().is_none() && !rx.is_closed() {
-                    std::thread::park();
-                }
-                rx.end_park();
-            }
-        });
+        let consumer =
+            std::thread::spawn(move || std::iter::from_fn(|| rx.pop_or_park()).collect::<Vec<_>>());
         for v in 0..64u64 {
             let mut item = v;
             loop {
@@ -709,26 +707,8 @@ mod tests {
     #[test]
     fn parked_consumer_is_woken_by_push_and_by_close() {
         let (tx, rx) = ring::<u64>(2);
-        let consumer = std::thread::spawn(move || {
-            let mut got = Vec::new();
-            loop {
-                if let Some(v) = rx.try_pop() {
-                    got.push(v);
-                    continue;
-                }
-                if rx.is_closed() {
-                    while let Some(v) = rx.try_pop() {
-                        got.push(v);
-                    }
-                    return got;
-                }
-                rx.begin_park();
-                if rx.try_pop().is_none() && !rx.is_closed() {
-                    std::thread::park();
-                }
-                rx.end_park();
-            }
-        });
+        let consumer =
+            std::thread::spawn(move || std::iter::from_fn(|| rx.pop_or_park()).collect::<Vec<_>>());
         for v in 0..32u64 {
             let mut item = v;
             loop {
@@ -761,20 +741,10 @@ mod tests {
             feed_tx.try_push(unit).unwrap();
         }
         let worker = std::thread::spawn(move || {
-            loop {
-                if let Some(unit) = feed_rx.try_pop() {
-                    // Drain-back: hand the unit to the engine untouched.
-                    done_tx.try_push(unit).unwrap();
-                    continue;
-                }
-                if feed_rx.is_closed() {
-                    match feed_rx.try_pop() {
-                        Some(unit) => done_tx.try_push(unit).unwrap(),
-                        None => return, // closed + drained is final
-                    }
-                } else {
-                    std::thread::yield_now();
-                }
+            // Drain-back: hand every unit to the engine untouched until
+            // the ring is closed and drained.
+            while let Some(unit) = feed_rx.pop_or_park() {
+                done_tx.try_push(unit).unwrap();
             }
         });
         feed_tx.close();

@@ -15,6 +15,8 @@
 //! (default 20 000). Each test here pins one protocol claim made in the
 //! `spsc` module docs; lost wakeups surface as model deadlocks, lost or
 //! duplicated items as assertion panics, slot misuse as data races.
+//! Every consumer waits through `Consumer::pop_or_park`, the exact loop
+//! the serving workers run on their feed rings.
 
 #![cfg(nova_check_model)]
 
@@ -36,33 +38,6 @@ fn assert_clean(report: &Report, what: &str) {
         report.violation.as_ref().expect("checked some")
     );
     assert!(report.executions > 1, "{what}: only one interleaving ran");
-}
-
-/// The serving worker's wait loop in miniature: pop, or close-drain, or
-/// park via the raise-then-recheck protocol. Returns `None` only once
-/// the ring is closed *and* drained (which the protocol makes final).
-fn pop_wait<T>(rx: &spsc::Consumer<T>) -> Option<T> {
-    loop {
-        if let Some(v) = rx.try_pop() {
-            return Some(v);
-        }
-        if rx.is_closed() {
-            return rx.try_pop();
-        }
-        rx.begin_park();
-        match rx.try_pop() {
-            Some(v) => {
-                rx.end_park();
-                return Some(v);
-            }
-            None => {
-                if !rx.is_closed() {
-                    thread::park();
-                }
-                rx.end_park();
-            }
-        }
-    }
 }
 
 /// Push with a bounded-by-schedule retry (the producer side has no park
@@ -88,8 +63,8 @@ fn fifo_no_lost_items() {
     let report = explore(opts(), || {
         let (tx, rx) = spsc::ring::<u32>(2);
         let consumer = thread::spawn(move || {
-            let a = pop_wait(&rx).expect("first item");
-            let b = pop_wait(&rx).expect("second item");
+            let a = rx.pop_or_park().expect("first item");
+            let b = rx.pop_or_park().expect("second item");
             (a, b)
         });
         tx.try_push(1).expect("capacity 2 never fills here");
@@ -114,7 +89,7 @@ fn close_then_join_hands_every_item_back() {
         feed_tx.try_push(1).expect("pre-close unit");
         feed_tx.try_push(2).expect("pre-close unit");
         let worker = thread::spawn(move || {
-            while let Some(unit) = pop_wait(&feed_rx) {
+            while let Some(unit) = feed_rx.pop_or_park() {
                 done_tx
                     .try_push(unit)
                     .expect("done ring sized for every in-flight unit");
@@ -136,7 +111,7 @@ fn parked_consumer_never_misses_wakeup() {
     // the model reports that as a deadlock.
     let report = explore(opts(), || {
         let (tx, rx) = spsc::ring::<u32>(1);
-        let consumer = thread::spawn(move || pop_wait(&rx));
+        let consumer = thread::spawn(move || rx.pop_or_park());
         tx.try_push(7).expect("empty ring takes the push");
         assert_eq!(consumer.join().unwrap(), Some(7));
     });
@@ -189,7 +164,7 @@ fn drop_exactly_once_inflight() {
         let (tx, rx) = spsc::ring::<Counted>(4);
         // Spawn first so the pops genuinely race the pushes.
         let consumer = thread::spawn(move || {
-            let taken = pop_wait(&rx);
+            let taken = rx.pop_or_park();
             assert!(taken.is_some(), "three pushed, at least one to pop");
         });
         for _ in 0..3 {
@@ -220,8 +195,8 @@ fn capacity_one_ring_parks_and_wakes() {
     let report = explore(opts(), || {
         let (tx, rx) = spsc::ring::<u32>(1);
         let consumer = thread::spawn(move || {
-            let a = pop_wait(&rx).expect("first item");
-            let b = pop_wait(&rx).expect("second item");
+            let a = rx.pop_or_park().expect("first item");
+            let b = rx.pop_or_park().expect("second item");
             (a, b)
         });
         push_spin(&tx, 1);

@@ -192,12 +192,13 @@ fn flat_serving_bit_identical_across_kinds_geometries_and_ragged_tails() {
 }
 
 /// Fat work units are functionally invisible: for every approximator
-/// kind × worker count {1, 2, 4} × unit cap K ∈ {1, 3, 8}, a mixed-
-/// activation slate with ragged tail batches serves bit-identically to
-/// the sequential reference, steady-state repeats mint no input
-/// buffers through the SPSC rings, and the job ledger confirms runs
-/// actually coalesced (`jobs <= batches`, strictly fewer once K > 1
-/// and a run spans multiple batches).
+/// kind × worker count {1, 2, 4}, a mixed-activation slate with ragged
+/// tail batches serves bit-identically to the sequential reference,
+/// steady-state repeats mint no input buffers through the SPSC rings,
+/// and the job ledger shows the adaptive run length at work: one batch
+/// per unit at 4 workers (`K = 1` for these 5-batch runs), coalesced
+/// units at 1 worker (`K = 3`). The per-cap layout checks live with the
+/// packer's own tests.
 #[test]
 fn fat_units_bit_identical_across_workers_kinds_and_unit_caps() {
     let mut rng = StdRng::seed_from_u64(0xFA7);
@@ -205,7 +206,8 @@ fn fat_units_bit_identical_across_workers_kinds_and_unit_caps() {
     let gelu = TableKey::paper(Activation::Gelu);
     let exp = TableKey::paper(Activation::Exp);
     // 3×7 grid (capacity 21) with 47 queries/stream: every stream ends
-    // in a genuinely partial tail batch (47 = 2·21 + 5).
+    // in a genuinely partial tail batch (47 = 2·21 + 5), and each
+    // activation's run of 94 queries packs into 5 batches.
     let (routers, neurons, queries_per_stream) = (3usize, 7usize, 47usize);
     let requests: Vec<ServingRequest> = (0..4)
         .map(|stream| {
@@ -222,34 +224,31 @@ fn fat_units_bit_identical_across_workers_kinds_and_unit_caps() {
         .collect();
     for kind in ApproximatorKind::all() {
         for workers in [1usize, 2, 4] {
-            for unit_cap in [1usize, 3, 8] {
-                let mut engine = ServingEngine::builder(kind)
-                    .line(LineConfig::paper_default(routers, neurons))
-                    .cache(&cache)
-                    .tables([gelu, exp])
-                    .shards(workers)
-                    .max_batches_per_unit(unit_cap)
-                    .build()
-                    .unwrap();
-                let label = format!("{} w={workers} K={unit_cap}", kind.label());
-                let reference = engine.serve_reference(&requests);
-                assert_eq!(engine.serve(&requests).unwrap(), reference, "{label}");
-                let minted = engine.buffers_created();
-                assert_eq!(engine.serve(&requests).unwrap(), reference, "{label}");
-                assert_eq!(
-                    engine.buffers_created(),
-                    minted,
-                    "steady state minted buffers: {label}"
-                );
-                let stats = engine.stats();
-                assert!(stats.jobs > 0 && stats.jobs <= stats.batches, "{label}");
-                if unit_cap == 1 {
-                    // K = 1 degenerates to one batch per job.
-                    assert_eq!(stats.jobs, stats.batches, "{label}");
-                } else if workers == 1 {
-                    // Three-batch runs on one shard must coalesce.
-                    assert!(stats.jobs < stats.batches, "runs never packed: {label}");
-                }
+            let mut engine = ServingEngine::builder(kind)
+                .line(LineConfig::paper_default(routers, neurons))
+                .cache(&cache)
+                .tables([gelu, exp])
+                .shards(workers)
+                .build()
+                .unwrap();
+            let label = format!("{} w={workers}", kind.label());
+            let reference = engine.serve_reference(&requests);
+            assert_eq!(engine.serve(&requests).unwrap(), reference, "{label}");
+            let minted = engine.buffers_created();
+            assert_eq!(engine.serve(&requests).unwrap(), reference, "{label}");
+            assert_eq!(
+                engine.buffers_created(),
+                minted,
+                "steady state minted buffers: {label}"
+            );
+            let stats = engine.stats();
+            assert!(stats.jobs > 0 && stats.jobs <= stats.batches, "{label}");
+            if workers == 4 {
+                // K = ⌈5 / 8⌉ = 1: one batch per job.
+                assert_eq!(stats.jobs, stats.batches, "{label}");
+            } else if workers == 1 {
+                // K = ⌈5 / 2⌉ = 3: the five-batch runs must coalesce.
+                assert!(stats.jobs < stats.batches, "runs never packed: {label}");
             }
         }
     }
