@@ -1,3 +1,6 @@
+use std::fmt;
+use std::sync::Arc;
+
 use nova_fixed::{Fixed, QFormat, Rounding};
 
 use crate::{ApproxError, PiecewiseLinear};
@@ -35,14 +38,22 @@ pub struct SlopeBias {
 /// autovectorize the MAC loop. At ≤ `2^16` segments the duplication
 /// costs at most a few hundred KiB against the dense address table's
 /// 256 KiB, and typically (16 segments) under 300 bytes. The mirrors are
-/// rebuilt on [`from_pwl`](Self::from_pwl) and kept in lockstep by
-/// [`copy_from`](Self::copy_from); they are not independently mutable.
+/// built once, by [`from_pwl`](Self::from_pwl) or
+/// [`from_raw_parts`](Self::from_raw_parts), and never change.
 ///
 /// Measured (256-query Q4.12 GELU batch, one AVX-512 core, the
 /// `pwl/eval_*` rows of `cargo bench -p nova-bench`): per-element
 /// binary search ≈ 14 ns/query, the retired AoS direct-index gather
 /// ≈ 10, this SoA kernel ≈ 5–6. All three are bit-identical over every
 /// raw word of the format (the full-sweep test below).
+///
+/// # Sharing
+///
+/// A fitted table is immutable, and all of its storage sits behind one
+/// [`Arc`]: `clone()` bumps a reference count and copies nothing, so every
+/// clone reads the very same address table and SoA mirrors. Re-programming
+/// a unit — a NoC line and its comparators, a LUT or SDP core — is
+/// therefore a pointer copy, not a copy of up to 256 KiB.
 ///
 /// # Example
 ///
@@ -59,8 +70,14 @@ pub struct SlopeBias {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct QuantizedPwl {
+    body: Arc<Body>,
+}
+
+/// The shared, immutable storage of a [`QuantizedPwl`].
+#[derive(PartialEq)]
+struct Body {
     format: QFormat,
     rounding: Rounding,
     /// Interior thresholds, strictly increasing (comparator inputs).
@@ -73,9 +90,8 @@ pub struct QuantizedPwl {
     /// segment order. An AoS gather (`pairs[addr].slope.raw()`) strides
     /// 32 bytes per element and drags the unused `QFormat` tags through
     /// the cache; these parallel raw arrays give the MAC loop unit-stride
-    /// 8-byte gathers the vectorizer can live with. Kept in lockstep with
-    /// `pairs` by construction ([`from_pwl`](Self::from_pwl)) and
-    /// re-programming ([`copy_from`](Self::copy_from)).
+    /// 8-byte gathers the vectorizer can live with. Built from `pairs`
+    /// once, at construction.
     slopes_raw: Vec<i64>,
     /// SoA mirror of `pairs`: the raw bias words (see `slopes_raw`).
     biases_raw: Vec<i64>,
@@ -88,6 +104,23 @@ pub struct QuantizedPwl {
     /// clamped raw span exceeds [`DENSE_ADDR_MAX_ENTRIES`] (wide
     /// formats), in which case lookup falls back to `partition_point`.
     addr_table: Vec<u32>,
+}
+
+impl fmt::Debug for QuantizedPwl {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let b = &*self.body;
+        f.debug_struct("QuantizedPwl")
+            .field("format", &b.format)
+            .field("rounding", &b.rounding)
+            .field("breakpoints", &b.breakpoints)
+            .field("pairs", &b.pairs)
+            .field("slopes_raw", &b.slopes_raw)
+            .field("biases_raw", &b.biases_raw)
+            .field("lo", &b.lo)
+            .field("hi", &b.hi)
+            .field("addr_table", &b.addr_table)
+            .finish()
+    }
 }
 
 /// Size cap on the dense segment-address table, in entries.
@@ -160,37 +193,33 @@ impl QuantizedPwl {
                 pairs.push(pair);
             }
         }
-        let addr_table = build_addr_table(&breakpoints, lo, hi);
-        let slopes_raw = pairs.iter().map(|p| p.slope.raw()).collect();
-        let biases_raw = pairs.iter().map(|p| p.bias.raw()).collect();
-        Ok(Self {
-            format,
-            rounding,
-            breakpoints,
-            pairs,
-            slopes_raw,
-            biases_raw,
-            lo,
-            hi,
-            addr_table,
-        })
+        Ok(Self::new(format, rounding, lo, hi, breakpoints, pairs))
     }
 
-    /// Overwrites this table with `other`'s contents, reusing this
-    /// table's heap allocations where capacities allow (the
-    /// `Vec::clone_from` path) — the allocation-light re-program a
-    /// serving-time table switch wants, in contrast to `clone()` which
-    /// always mints fresh vectors.
-    pub fn copy_from(&mut self, other: &QuantizedPwl) {
-        self.format = other.format;
-        self.rounding = other.rounding;
-        self.breakpoints.clone_from(&other.breakpoints);
-        self.pairs.clone_from(&other.pairs);
-        self.slopes_raw.clone_from(&other.slopes_raw);
-        self.biases_raw.clone_from(&other.biases_raw);
-        self.lo = other.lo;
-        self.hi = other.hi;
-        self.addr_table.clone_from(&other.addr_table);
+    /// Wraps validated thresholds and pairs into a shared table, deriving
+    /// the SoA mirrors and the dense address table once.
+    fn new(
+        format: QFormat,
+        rounding: Rounding,
+        lo: Fixed,
+        hi: Fixed,
+        breakpoints: Vec<Fixed>,
+        pairs: Vec<SlopeBias>,
+    ) -> Self {
+        let body = Body {
+            format,
+            rounding,
+            addr_table: build_addr_table(&breakpoints, lo, hi),
+            slopes_raw: pairs.iter().map(|p| p.slope.raw()).collect(),
+            biases_raw: pairs.iter().map(|p| p.bias.raw()).collect(),
+            breakpoints,
+            pairs,
+            lo,
+            hi,
+        };
+        Self {
+            body: Arc::new(body),
+        }
     }
 
     /// Rebuilds a table from its raw serialized words — the warm-start
@@ -248,55 +277,44 @@ impl QuantizedPwl {
                 bias: Fixed::from_raw(b, format)?,
             });
         }
-        let addr_table = build_addr_table(&breakpoints, lo, hi);
-        Ok(Self {
-            format,
-            rounding,
-            breakpoints,
-            pairs,
-            slopes_raw: slopes_raw.to_vec(),
-            biases_raw: biases_raw.to_vec(),
-            lo,
-            hi,
-            addr_table,
-        })
+        Ok(Self::new(format, rounding, lo, hi, breakpoints, pairs))
     }
 
     /// The word format of the tables.
     #[must_use]
     pub fn format(&self) -> QFormat {
-        self.format
+        self.body.format
     }
 
     /// The rounding mode used for quantization and the MAC output.
     #[must_use]
     pub fn rounding(&self) -> Rounding {
-        self.rounding
+        self.body.rounding
     }
 
     /// Number of segments (= slope/bias pairs after quantization).
     #[must_use]
     pub fn segments(&self) -> usize {
-        self.pairs.len()
+        self.body.pairs.len()
     }
 
     /// The quantized `(slope, bias)` pairs, one per segment. These are the
     /// words the NOVA NoC broadcasts (8 per flit).
     #[must_use]
     pub fn pairs(&self) -> &[SlopeBias] {
-        &self.pairs
+        &self.body.pairs
     }
 
     /// The quantized interior thresholds the comparators hold.
     #[must_use]
     pub fn breakpoints(&self) -> &[Fixed] {
-        &self.breakpoints
+        &self.body.breakpoints
     }
 
     /// Clamp bounds in the fixed format.
     #[must_use]
     pub fn clamp_bounds(&self) -> (Fixed, Fixed) {
-        (self.lo, self.hi)
+        (self.body.lo, self.body.hi)
     }
 
     /// The SoA mirror of the segment slopes as raw format words, in
@@ -304,24 +322,24 @@ impl QuantizedPwl {
     /// [`from_raw_parts`](Self::from_raw_parts) consumes.
     #[must_use]
     pub fn slopes_raw(&self) -> &[i64] {
-        &self.slopes_raw
+        &self.body.slopes_raw
     }
 
     /// The SoA mirror of the segment biases as raw format words (see
     /// [`slopes_raw`](Self::slopes_raw)).
     #[must_use]
     pub fn biases_raw(&self) -> &[i64] {
-        &self.biases_raw
+        &self.body.biases_raw
     }
 
     /// Clamps an input word to the function domain (the saturating
     /// comparator front-end).
     #[must_use]
     pub fn clamp(&self, x: Fixed) -> Fixed {
-        if x.raw() < self.lo.raw() {
-            self.lo
-        } else if x.raw() > self.hi.raw() {
-            self.hi
+        if x.raw() < self.body.lo.raw() {
+            self.body.lo
+        } else if x.raw() > self.body.hi.raw() {
+            self.body.hi
         } else {
             x
         }
@@ -350,13 +368,15 @@ impl QuantizedPwl {
     #[must_use]
     pub fn lookup_address_clamped(&self, xc: Fixed) -> usize {
         debug_assert!(
-            xc.raw() >= self.lo.raw() && xc.raw() <= self.hi.raw(),
+            xc.raw() >= self.body.lo.raw() && xc.raw() <= self.body.hi.raw(),
             "lookup_address_clamped needs a clamped word"
         );
-        if self.addr_table.is_empty() {
-            self.breakpoints.partition_point(|d| d.raw() <= xc.raw())
+        if self.body.addr_table.is_empty() {
+            self.body
+                .breakpoints
+                .partition_point(|d| d.raw() <= xc.raw())
         } else {
-            self.addr_table[(xc.raw() - self.lo.raw()) as usize] as usize
+            self.body.addr_table[(xc.raw() - self.body.lo.raw()) as usize] as usize
         }
     }
 
@@ -365,7 +385,7 @@ impl QuantizedPwl {
     /// back to binary search.
     #[must_use]
     pub fn dense_address_entries(&self) -> usize {
-        self.addr_table.len()
+        self.body.addr_table.len()
     }
 
     /// Whether this table resolves segment addresses through the dense
@@ -375,7 +395,7 @@ impl QuantizedPwl {
     /// is the one the SoA batch kernel vectorizes.
     #[must_use]
     pub fn uses_dense_address(&self) -> bool {
-        !self.addr_table.is_empty()
+        !self.body.addr_table.is_empty()
     }
 
     /// Full datapath evaluation: clamp → comparator address → pair select →
@@ -391,7 +411,7 @@ impl QuantizedPwl {
     pub fn eval(&self, x: Fixed) -> Fixed {
         assert_eq!(
             x.format(),
-            self.format,
+            self.format(),
             "input word format must match table format"
         );
         self.eval_clamped(self.clamp(x))
@@ -401,9 +421,9 @@ impl QuantizedPwl {
     /// select through the dense address table plus the fused MAC.
     #[inline]
     fn eval_clamped(&self, xc: Fixed) -> Fixed {
-        let pair = self.pairs[self.lookup_address_clamped(xc)];
+        let pair = self.body.pairs[self.lookup_address_clamped(xc)];
         pair.slope
-            .mul_add(xc, pair.bias, self.rounding)
+            .mul_add(xc, pair.bias, self.rounding())
             .expect("formats verified equal by the caller")
     }
 
@@ -435,12 +455,13 @@ impl QuantizedPwl {
     /// Panics if any word is not in the table's format (checked up front,
     /// before any evaluation).
     pub fn eval_into(&self, xs: &[Fixed], out: &mut Vec<Fixed>) {
+        let format = self.format();
         assert!(
-            xs.iter().all(|x| x.format() == self.format),
+            xs.iter().all(|x| x.format() == format),
             "input word format must match table format"
         );
         out.clear();
-        out.resize(xs.len(), Fixed::zero(self.format));
+        out.resize(xs.len(), Fixed::zero(format));
         self.eval_to_slice_unchecked(xs, out);
     }
 
@@ -453,8 +474,9 @@ impl QuantizedPwl {
     /// Panics if `out.len() != xs.len()` or any word is format-mismatched.
     pub fn eval_to_slice(&self, xs: &[Fixed], out: &mut [Fixed]) {
         assert_eq!(xs.len(), out.len(), "output slice must match input length");
+        let format = self.format();
         assert!(
-            xs.iter().all(|x| x.format() == self.format),
+            xs.iter().all(|x| x.format() == format),
             "input word format must match table format"
         );
         self.eval_to_slice_unchecked(xs, out);
@@ -483,16 +505,16 @@ impl QuantizedPwl {
     pub fn eval_to_slice_unchecked(&self, xs: &[Fixed], out: &mut [Fixed]) {
         debug_assert_eq!(xs.len(), out.len(), "caller owns the length check");
         debug_assert!(
-            xs.iter().all(|x| x.format() == self.format),
+            xs.iter().all(|x| x.format() == self.format()),
             "caller owns the format check"
         );
-        if self.addr_table.is_empty() {
+        if self.body.addr_table.is_empty() {
             self.eval_binary_search_pass(xs, out);
         } else {
             // Dispatch once so `rounding` is a compile-time constant in
             // each monomorphized copy of the (inlined) dense pass: the
             // rounding match folds away and the loop body is branch-free.
-            match self.rounding {
+            match self.rounding() {
                 Rounding::NearestEven => self.eval_dense_soa_pass(xs, out, Rounding::NearestEven),
                 Rounding::NearestAway => self.eval_dense_soa_pass(xs, out, Rounding::NearestAway),
                 Rounding::Floor => self.eval_dense_soa_pass(xs, out, Rounding::Floor),
@@ -511,12 +533,13 @@ impl QuantizedPwl {
         /// line and a multiple of every SIMD width the default target
         /// supports, so the stack scratch below vectorizes cleanly.
         const LANES: usize = 8;
-        let format = self.format;
-        let lo = self.lo.raw();
-        let hi = self.hi.raw();
-        let table = self.addr_table.as_slice();
-        let slopes = self.slopes_raw.as_slice();
-        let biases = self.biases_raw.as_slice();
+        let body = &*self.body;
+        let format = body.format;
+        let lo = body.lo.raw();
+        let hi = body.hi.raw();
+        let table = body.addr_table.as_slice();
+        let slopes = body.slopes_raw.as_slice();
+        let biases = body.biases_raw.as_slice();
         // `.min(last)` index clamps below keep the compiler's bounds
         // checks out of the loops without `unsafe`; the clamp never binds
         // (addresses are in range by construction of `addr_table`).
@@ -558,21 +581,22 @@ impl QuantizedPwl {
     /// SoA operations as the dense pass; only the address generation
     /// differs (and dominates), so this path is not chunked.
     fn eval_binary_search_pass(&self, xs: &[Fixed], out: &mut [Fixed]) {
-        let format = self.format;
-        let rounding = self.rounding;
-        let lo = self.lo.raw();
-        let hi = self.hi.raw();
-        let s_last = self.slopes_raw.len().min(self.biases_raw.len()) - 1;
+        let body = &*self.body;
+        let format = body.format;
+        let rounding = body.rounding;
+        let lo = body.lo.raw();
+        let hi = body.hi.raw();
+        let s_last = body.slopes_raw.len().min(body.biases_raw.len()) - 1;
         for (&x, slot) in xs.iter().zip(out) {
             let craw = x.raw().max(lo).min(hi);
-            let addr = self
+            let addr = body
                 .breakpoints
                 .partition_point(|d| d.raw() <= craw)
                 .min(s_last);
             let raw = Fixed::mul_add_raw(
-                self.slopes_raw[addr],
+                body.slopes_raw[addr],
                 craw,
-                self.biases_raw[addr],
+                body.biases_raw[addr],
                 format,
                 rounding,
             );
@@ -583,7 +607,7 @@ impl QuantizedPwl {
     /// Convenience: quantize an `f64`, evaluate, return `f64`.
     #[must_use]
     pub fn eval_f64(&self, x: f64) -> f64 {
-        self.eval(Fixed::from_f64(x, self.format, self.rounding))
+        self.eval(Fixed::from_f64(x, self.format(), self.rounding()))
             .to_f64()
     }
 }
@@ -842,26 +866,33 @@ mod tests {
 
     #[test]
     fn soa_arrays_mirror_pairs_through_construction_and_reprogram() {
-        // The SoA mirrors must be the raw words of `pairs`, in order,
-        // both after `from_pwl` and after an allocation-reusing
-        // `copy_from` re-program.
-        let sigmoid = sigmoid16();
+        // The SoA mirrors must be the raw words of `pairs`, in order. A
+        // clone — what a unit keeps after a re-program — must share the
+        // source's storage instead of copying it, and compare equal.
         let check = |q: &QuantizedPwl| {
-            assert_eq!(q.slopes_raw.len(), q.pairs().len());
-            assert_eq!(q.biases_raw.len(), q.pairs().len());
+            assert_eq!(q.slopes_raw().len(), q.pairs().len());
+            assert_eq!(q.biases_raw().len(), q.pairs().len());
             for (i, p) in q.pairs().iter().enumerate() {
-                assert_eq!(q.slopes_raw[i], p.slope.raw(), "slope {i}");
-                assert_eq!(q.biases_raw[i], p.bias.raw(), "bias {i}");
+                assert_eq!(q.slopes_raw()[i], p.slope.raw(), "slope {i}");
+                assert_eq!(q.biases_raw()[i], p.bias.raw(), "bias {i}");
             }
         };
+        let shares = |a: &QuantizedPwl, b: &QuantizedPwl| {
+            assert_eq!(a, b);
+            assert_eq!(a.pairs().as_ptr(), b.pairs().as_ptr(), "pairs copied");
+            assert_eq!(a.slopes_raw().as_ptr(), b.slopes_raw().as_ptr());
+            assert_eq!(a.breakpoints().as_ptr(), b.breakpoints().as_ptr());
+        };
+        let sigmoid = sigmoid16();
         check(&sigmoid);
+        shares(&sigmoid.clone(), &sigmoid);
         let gelu_pwl =
             fit::fit_activation(Activation::Gelu, 4, fit::BreakpointStrategy::Uniform).unwrap();
         let gelu = QuantizedPwl::from_pwl(&gelu_pwl, Q4_12, Rounding::NearestEven).unwrap();
         let mut reprogrammed = sigmoid.clone();
-        reprogrammed.copy_from(&gelu);
+        reprogrammed.clone_from(&gelu);
         check(&reprogrammed);
-        assert_eq!(reprogrammed, gelu);
+        shares(&reprogrammed, &gelu);
     }
 
     #[test]

@@ -428,12 +428,12 @@ impl VectorUnit for NovaVectorUnit {
     }
 
     fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError> {
-        // The table lives on the wire: re-programming is a new broadcast
-        // schedule, which the simulator compiles at construction. Only on
-        // success does the new simulator replace the old one.
-        let sim = BroadcastSim::new(self.sim.config(), table)?;
-        self.last_latency = sim.nominal_core_cycle_latency();
-        self.sim = sim;
+        // The table lives on the wire: re-programming compiles the new
+        // broadcast schedule and re-points the line at the shared table.
+        // `set_table` compiles before it changes anything, so a refused
+        // switch leaves the old table active.
+        self.sim.set_table(table)?;
+        self.last_latency = self.sim.nominal_core_cycle_latency();
         Ok(table_switch_cycles(
             ApproximatorKind::NovaNoc,
             table.segments() as u64,
@@ -510,9 +510,9 @@ impl VectorUnit for SegmentedNovaUnit {
     }
 
     fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError> {
-        let noc = SegmentedNoc::new(self.noc.config(), table)?;
-        self.last_latency = noc.nominal_core_cycle_latency();
-        self.noc = noc;
+        // As for the plain line, on every segment at once.
+        self.noc.set_table(table)?;
+        self.last_latency = self.noc.nominal_core_cycle_latency();
         Ok(table_switch_cycles(
             ApproximatorKind::NovaNoc,
             table.segments() as u64,
@@ -620,9 +620,9 @@ impl VectorUnit for LutVectorUnit {
     fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError> {
         // Every bank is rewritten: one cycle per entry with a single
         // write port (shared or not, the rewrite serializes per bank
-        // set). The rewrite happens in place — bank allocations are
-        // reused, so a serving worker's run-boundary switch stays off
-        // the allocator's hot path.
+        // set). The modeled banks rewrite in place and each core shares
+        // the table instead of copying it, so a serving worker's
+        // run-boundary switch stays off the allocator's hot path.
         let kind = match self.variant {
             LutVariant::PerNeuron => {
                 for core in &mut self.per_neuron {
@@ -705,8 +705,8 @@ impl VectorUnit for SdpVectorUnit {
     }
 
     fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError> {
-        // In-place interpolation-table rewrite per core: allocations
-        // reused, activity counters preserved.
+        // In-place interpolation-table rewrite per core (the table
+        // itself is shared, not copied); activity counters preserved.
         for core in &mut self.cores {
             core.reprogram(table);
         }
@@ -1072,21 +1072,78 @@ mod tests {
     fn failed_switch_keeps_the_old_table_active() {
         // A 32-segment table needs more flits than the paper link's tag
         // space addresses: the NOVA NoC must refuse the switch and keep
-        // serving the old table.
+        // serving the old table — on a plain line and on every segment of
+        // a segmented one, through the fast path and through the
+        // flit-level reference, which reads the router comparators.
         let gelu = table();
         let big_pwl =
             fit::fit_activation(Activation::Gelu, 32, fit::BreakpointStrategy::Uniform).unwrap();
         let big = QuantizedPwl::from_pwl(&big_pwl, Q4_12, Rounding::NearestEven).unwrap();
-        let inputs = batch(2, 4);
-        let mut unit = build(
-            ApproximatorKind::NovaNoc,
-            LineConfig::paper_default(2, 4),
-            &gelu,
-        )
-        .unwrap();
-        assert!(unit.switch_table(&big).is_err());
-        let out = unit.lookup_batch(&inputs).unwrap();
-        assert_eq!(out[0][0], gelu.eval(inputs[0][0]));
+        let gelu_batch = |config: LineConfig| {
+            let rows = batch(config.routers, config.neurons_per_router);
+            let inputs = FixedBatch::from_rows(&rows).unwrap();
+            let expect: Vec<Fixed> = inputs.as_slice().iter().map(|&x| gelu.eval(x)).collect();
+            let blank = vec![Fixed::zero(Q4_12); expect.len()];
+            (inputs, expect, blank)
+        };
+        let mut out = FixedBatch::empty();
+
+        let plain_config = LineConfig::paper_default(2, 4);
+        let mut plain = NovaVectorUnit::new(plain_config, &gelu).unwrap();
+        let latency = plain.latency_cycles();
+        assert!(plain.switch_table(&big).is_err());
+        assert_eq!(plain.latency_cycles(), latency);
+        let (inputs, expect, mut ref_out) = gelu_batch(plain_config);
+        plain.lookup_batch_into(&inputs, &mut out).unwrap();
+        assert_eq!(out.as_slice(), expect, "plain line, fast path");
+        plain
+            .sim
+            .run_flat_reference(inputs.as_slice(), &mut ref_out)
+            .unwrap();
+        assert_eq!(ref_out, expect, "plain line, reference path");
+
+        let seg_config = LineConfig {
+            max_hops_per_cycle: 5,
+            ..LineConfig::paper_default(12, 16)
+        };
+        let mut seg = SegmentedNovaUnit::new(seg_config, &gelu).unwrap();
+        assert_eq!(seg.segments(), 3);
+        let latency = seg.latency_cycles();
+        assert!(seg.switch_table(&big).is_err());
+        assert_eq!(seg.latency_cycles(), latency);
+        let (inputs, expect, mut ref_out) = gelu_batch(seg_config);
+        seg.lookup_batch_into(&inputs, &mut out).unwrap();
+        assert_eq!(out.as_slice(), expect, "segmented line, fast path");
+        seg.noc
+            .run_flat_reference(inputs.as_slice(), &mut ref_out)
+            .unwrap();
+        assert_eq!(ref_out, expect, "segmented line, reference path");
+    }
+
+    #[test]
+    fn nova_switch_shares_the_table_on_every_segment() {
+        // Re-programming a NOVA unit is a pointer copy: after
+        // `switch_table(&t)` the line's table reads `t`'s own storage, on
+        // the plain line and on every segment of a segmented one.
+        let exp_pwl =
+            fit::fit_activation(Activation::Exp, 16, fit::BreakpointStrategy::Uniform).unwrap();
+        let exp = QuantizedPwl::from_pwl(&exp_pwl, Q4_12, Rounding::NearestEven).unwrap();
+        let shares = |t: &QuantizedPwl| t.slopes_raw().as_ptr() == exp.slopes_raw().as_ptr();
+
+        let mut plain = NovaVectorUnit::new(LineConfig::paper_default(4, 16), &table()).unwrap();
+        plain.switch_table(&exp).unwrap();
+        assert!(shares(plain.sim().table()));
+
+        let config = LineConfig {
+            max_hops_per_cycle: 5,
+            ..LineConfig::paper_default(12, 16)
+        };
+        let mut seg = SegmentedNovaUnit::new(config, &table()).unwrap();
+        seg.switch_table(&exp).unwrap();
+        assert_eq!(seg.noc.segments().len(), 3);
+        for (i, line) in seg.noc.segments().iter().enumerate() {
+            assert!(shares(line.table()), "segment {i} copied the table");
+        }
     }
 
     #[test]

@@ -38,8 +38,9 @@ impl SdpUnit {
         }
     }
 
-    /// Re-programs the SDP's interpolation table in place (allocation
-    /// reused, activity counters preserved).
+    /// Re-programs the SDP's interpolation table in place (bank
+    /// allocation reused, evaluation table shared, activity counters
+    /// preserved).
     pub fn reprogram(&mut self, table: &QuantizedPwl) {
         self.inner.reprogram(table);
     }

@@ -51,9 +51,10 @@ impl PerNeuronLut {
     /// Re-programs the unit to serve a new table, rewriting every
     /// neuron's private bank in place (allocations reused, activity
     /// counters preserved) — the hot-loop-friendly form of rebuilding
-    /// the unit that a serving-time table switch uses.
+    /// the unit that a serving-time table switch uses. The unit's
+    /// evaluation table is shared with `table`, not copied.
     pub fn reprogram(&mut self, table: &QuantizedPwl) {
-        self.table.copy_from(table);
+        self.table.clone_from(table);
         for bank in &mut self.banks {
             bank.reprogram(table);
         }
@@ -150,8 +151,9 @@ impl PerCoreLut {
 
     /// Re-programs the unit to serve a new table, rewriting the shared
     /// bank in place (allocation reused, activity counters preserved).
+    /// The unit's evaluation table is shared with `table`, not copied.
     pub fn reprogram(&mut self, table: &QuantizedPwl) {
-        self.table.copy_from(table);
+        self.table.clone_from(table);
         self.bank.reprogram(table);
     }
 
@@ -224,7 +226,8 @@ fn validate(table: &QuantizedPwl, neurons: usize, xs: &[Fixed]) -> Result<(), Lu
             got: xs.len(),
         });
     }
-    if xs.iter().any(|x| x.format() != table.format()) {
+    let format = table.format();
+    if xs.iter().any(|x| x.format() != format) {
         return Err(LutError::FormatMismatch);
     }
     Ok(())
@@ -278,6 +281,23 @@ mod tests {
             assert_eq!(a[i], tanh.eval(x));
             assert_eq!(b[i], tanh.eval(x));
         }
+    }
+
+    #[test]
+    fn reprogram_shares_the_table_instead_of_copying() {
+        // A switch re-points each unit's evaluation table at the new
+        // table's storage; only the modeled banks are rewritten.
+        let tanh_pwl =
+            fit::fit_activation(Activation::Tanh, 16, fit::BreakpointStrategy::Uniform).unwrap();
+        let tanh = QuantizedPwl::from_pwl(&tanh_pwl, Q4_12, Rounding::NearestEven).unwrap();
+        let mut pn = PerNeuronLut::new(&table(), 8);
+        let mut pc = PerCoreLut::new(&table(), 8);
+        pn.reprogram(&tanh);
+        pc.reprogram(&tanh);
+        let storage = tanh.slopes_raw().as_ptr();
+        assert_eq!(pn.table.slopes_raw().as_ptr(), storage, "per-neuron copy");
+        assert_eq!(pc.table.slopes_raw().as_ptr(), storage, "per-core copy");
+        assert_eq!(pc.bank().entries(), tanh.segments());
     }
 
     #[test]

@@ -27,58 +27,48 @@ impl LookupAddress {
     }
 }
 
-/// The per-router comparator bank: thresholds plus clamp bounds, extracted
-/// from a quantized table.
+/// The per-router comparator bank: the thresholds and clamp bounds of a
+/// quantized table. The bank holds the table itself — a shared handle, so
+/// programming a bank copies no thresholds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparators {
-    thresholds: Vec<Fixed>,
-    lo: Fixed,
-    hi: Fixed,
+    table: QuantizedPwl,
 }
 
 impl Comparators {
     /// Builds the comparator bank from the table it will address.
     #[must_use]
     pub fn from_table(table: &QuantizedPwl) -> Self {
-        let (lo, hi) = table.clamp_bounds();
         Self {
-            thresholds: table.breakpoints().to_vec(),
-            lo,
-            hi,
+            table: table.clone(),
         }
     }
 
     /// Number of thresholds (segments − 1).
     #[must_use]
     pub fn thresholds(&self) -> usize {
-        self.thresholds.len()
+        self.table.breakpoints().len()
     }
 
     /// The saturation bounds of the comparator front-end.
     #[must_use]
     pub fn bounds(&self) -> (Fixed, Fixed) {
-        (self.lo, self.hi)
+        self.table.clamp_bounds()
     }
 
     /// Clamps a word to the bank's saturation bounds (shared with the MAC
     /// stage so address and operand always agree).
     #[must_use]
     pub fn clamp(&self, x: Fixed) -> Fixed {
-        if x.raw() < self.lo.raw() {
-            self.lo
-        } else if x.raw() > self.hi.raw() {
-            self.hi
-        } else {
-            x
-        }
+        self.table.clamp(x)
     }
 
     /// Generates the lookup address for a PE output word: clamp, then
     /// count thresholds `≤ x` (the hardware thermometer encode).
     #[must_use]
     pub fn address(&self, x: Fixed) -> LookupAddress {
-        let raw = x.raw().clamp(self.lo.raw(), self.hi.raw());
-        let count = self.thresholds.partition_point(|d| d.raw() <= raw);
+        let raw = self.clamp(x).raw();
+        let count = self.table.breakpoints().partition_point(|d| d.raw() <= raw);
         LookupAddress(count as u8)
     }
 }

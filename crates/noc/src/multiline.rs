@@ -16,7 +16,7 @@ use nova_approx::QuantizedPwl;
 use nova_fixed::Fixed;
 
 use crate::sim::{BroadcastSim, Outcome, SimStats};
-use crate::{LineConfig, NocError};
+use crate::{BroadcastSchedule, LineConfig, NocError};
 
 /// A NOVA NoC split into parallel segments.
 #[derive(Debug, Clone)]
@@ -77,6 +77,13 @@ impl SegmentedNoc {
         &self.split
     }
 
+    /// The per-segment line simulators, in router order (for stats
+    /// inspection).
+    #[must_use]
+    pub fn segments(&self) -> &[BroadcastSim] {
+        &self.segments
+    }
+
     /// The quantized table the segments are programmed with.
     ///
     /// # Panics
@@ -85,6 +92,22 @@ impl SegmentedNoc {
     #[must_use]
     pub fn table(&self) -> &QuantizedPwl {
         self.segments[0].table()
+    }
+
+    /// Switches every segment to `table` (see
+    /// [`BroadcastSim::set_table`]). The segments share one link, so the
+    /// flit schedule is compiled once, before any segment changes: a
+    /// refused switch leaves the old table active on every segment.
+    ///
+    /// # Errors
+    ///
+    /// Propagates schedule compilation errors (e.g. tag overflow).
+    pub fn set_table(&mut self, table: &QuantizedPwl) -> Result<(), NocError> {
+        let schedule = BroadcastSchedule::compile(table, self.config.link)?;
+        for seg in &mut self.segments {
+            seg.install(schedule.clone(), table);
+        }
+        Ok(())
     }
 
     /// Per-batch broadcast latency in core cycles without running a

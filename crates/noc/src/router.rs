@@ -45,9 +45,10 @@ pub struct Router {
 }
 
 impl Router {
-    /// Builds a router addressing `table` (thresholds are copied into the
-    /// comparator bank; the pairs stay *off* the router — they live on the
-    /// wire).
+    /// Builds a router addressing `table`. The comparator bank shares the
+    /// table's thresholds instead of copying them, and the router's
+    /// registers start empty, so this allocates nothing. The pairs stay
+    /// *off* the router — they live on the wire.
     #[must_use]
     pub fn new(table: &QuantizedPwl) -> Self {
         Self {

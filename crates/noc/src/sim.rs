@@ -125,20 +125,31 @@ impl BroadcastSim {
 
     /// Switches the active operator table (e.g. softmax-exp → GELU between
     /// layer phases). For NOVA this is free in hardware — the next
-    /// broadcast simply carries the new pairs — so the simulator just
-    /// recompiles the schedule and reprograms the comparators; no cycles
-    /// are consumed.
+    /// broadcast simply carries the new pairs — so no cycles are consumed.
+    /// The simulator compiles the new flit schedule first and only then
+    /// re-points the line and its comparators at `table`: a shared handle,
+    /// so nothing is copied. Router counters restart from zero, as on a
+    /// freshly built line.
     ///
     /// # Errors
     ///
-    /// Propagates schedule compilation errors (e.g. tag overflow).
+    /// Propagates schedule compilation errors (e.g. tag overflow); on
+    /// error the old table stays active.
     pub fn set_table(&mut self, table: &QuantizedPwl) -> Result<(), NocError> {
-        self.schedule = BroadcastSchedule::compile(table, self.config.link)?;
-        self.table = table.clone();
+        let schedule = BroadcastSchedule::compile(table, self.config.link)?;
+        self.install(schedule, table);
+        Ok(())
+    }
+
+    /// Re-points the line at `table`, whose `schedule` the caller has
+    /// already compiled for this line's link — the infallible half of
+    /// [`set_table`](Self::set_table).
+    pub(crate) fn install(&mut self, schedule: BroadcastSchedule, table: &QuantizedPwl) {
+        self.schedule = schedule;
+        self.table.clone_from(table);
         for router in &mut self.routers {
             *router = Router::new(table);
         }
-        Ok(())
     }
 
     /// Runs one batch: `inputs[r][n]` is the PE output of neuron `n` at
@@ -337,7 +348,8 @@ impl BroadcastSim {
                 got: (inputs.len(), out_len),
             });
         }
-        if inputs.iter().any(|x| x.format() != self.table.format()) {
+        let format = self.table.format();
+        if inputs.iter().any(|x| x.format() != format) {
             return Err(NocError::FormatMismatch);
         }
         Ok(())
@@ -412,6 +424,8 @@ fn fly(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multiline::SegmentedNoc;
+    use crate::router::RouterStats;
     use crate::LinkConfig;
     use nova_approx::{fit, Activation};
     use nova_fixed::{Rounding, Q4_12};
@@ -628,6 +642,75 @@ mod tests {
         let b = sim.run(&inputs).unwrap();
         assert_eq!(b.outputs[2][3], gelu.eval(inputs[2][3]));
         assert_ne!(a.outputs, b.outputs);
+    }
+
+    /// Every router's counters, line by line in router order.
+    fn counters<'a>(lines: impl IntoIterator<Item = &'a BroadcastSim>) -> Vec<RouterStats> {
+        lines
+            .into_iter()
+            .flat_map(|line| line.routers.iter().map(|r| r.stats))
+            .collect()
+    }
+
+    #[test]
+    fn both_paths_agree_across_table_switches() {
+        // `run_flat` reads the table directly, while `run_flat_reference`
+        // reads the router comparators that `set_table` re-programs. After
+        // every switch (exp → GELU → exp) both paths must serve the new
+        // table with identical outputs, batch stats and per-router
+        // counters, on a plain line and on a segmented one; the counters
+        // restart exactly as on a freshly built line.
+        let fitted = |a| {
+            let pwl = fit::fit_activation(a, 16, fit::BreakpointStrategy::Uniform).unwrap();
+            QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap()
+        };
+        let (exp, gelu) = (fitted(Activation::Exp), fitted(Activation::Gelu));
+        let config = LineConfig {
+            max_hops_per_cycle: 4,
+            ..LineConfig::paper_default(10, 3)
+        };
+        let inputs: Vec<Fixed> = batch(10, 3, 0.4).into_iter().flatten().collect();
+        let mut fast = BroadcastSim::new(config, &exp).unwrap();
+        let mut reference = fast.clone();
+        let mut seg_fast = SegmentedNoc::new(config, &exp).unwrap();
+        let mut seg_reference = seg_fast.clone();
+        assert_eq!(seg_fast.segment_count(), 3);
+        for t in [&gelu, &exp] {
+            fast.set_table(t).unwrap();
+            reference.set_table(t).unwrap();
+            seg_fast.set_table(t).unwrap();
+            seg_reference.set_table(t).unwrap();
+            let expect: Vec<Fixed> = inputs.iter().map(|&x| t.eval(x)).collect();
+            let mut fresh = BroadcastSim::new(config, t).unwrap();
+            let mut seg_fresh = SegmentedNoc::new(config, t).unwrap();
+            for round in 0..2 {
+                let mut outs: [Vec<Fixed>; 4] =
+                    std::array::from_fn(|_| vec![Fixed::zero(Q4_12); inputs.len()]);
+                let [a, b, c, d] = &mut outs;
+                let sf = fast.run_flat(&inputs, a).unwrap();
+                let sr = reference.run_flat_reference(&inputs, b).unwrap();
+                let seg_sf = seg_fast.run_flat(&inputs, c).unwrap();
+                let seg_sr = seg_reference.run_flat_reference(&inputs, d).unwrap();
+                for (path, out) in outs.iter().enumerate() {
+                    assert_eq!(out, &expect, "path {path}, round {round}");
+                }
+                assert_eq!(sf, sr, "plain batch stats, round {round}");
+                assert_eq!(seg_sf, seg_sr, "segmented batch stats, round {round}");
+                assert_eq!(counters([&fast]), counters([&reference]));
+                assert_eq!(
+                    counters(seg_fast.segments()),
+                    counters(seg_reference.segments())
+                );
+                let mut scratch = outs[0].clone();
+                fresh.run_flat(&inputs, &mut scratch).unwrap();
+                seg_fresh.run_flat(&inputs, &mut scratch).unwrap();
+                assert_eq!(counters([&fast]), counters([&fresh]), "round {round}");
+                assert_eq!(
+                    counters(seg_fast.segments()),
+                    counters(seg_fresh.segments())
+                );
+            }
+        }
     }
 
     #[test]

@@ -31,10 +31,14 @@ fn pick_activation(rng: &mut StdRng) -> Activation {
 
 /// For any activation, segment budget, geometry and inputs: the NOVA
 /// unit, the segmented NOVA unit and both LUT baselines agree bit for
-/// bit, and all equal the compiled table.
+/// bit, and all equal the compiled table — before and after every unit
+/// switches to a second random table.
 #[test]
 fn all_units_agree_under_random_mappings() {
     let mut rng = StdRng::seed_from_u64(0xD001);
+    // The switch targets draw from their own stream, so the first-table
+    // cases are the same as without the switch.
+    let mut switch_rng = StdRng::seed_from_u64(0xD002);
     for _ in 0..24 {
         let a = pick_activation(&mut rng);
         let segments = rng.gen_range(2usize..17);
@@ -46,11 +50,18 @@ fn all_units_agree_under_random_mappings() {
             .map(|_| rng.gen_range(i64::from(i16::MIN)..i64::from(i16::MAX) + 1))
             .collect();
         let tech = TechModel::cmos22();
-        let plan = Mapper::paper_default()
-            .with_segments(segments)
-            .compile(&[a], &tech, routers, 1.0, 1.0)
-            .unwrap();
-        let table = &plan.mappings[0].table;
+        let compile = |a: Activation, segments: usize| {
+            let plan = Mapper::paper_default()
+                .with_segments(segments)
+                .compile(&[a], &tech, routers, 1.0, 1.0)
+                .unwrap();
+            plan.mappings[0].table.clone()
+        };
+        let first = compile(a, segments);
+        let second = compile(
+            pick_activation(&mut switch_rng),
+            switch_rng.gen_range(2usize..17),
+        );
         let mut config = LineConfig::paper_default(routers, neurons);
         config.max_hops_per_cycle = reach;
         let inputs: Vec<Vec<Fixed>> = (0..routers)
@@ -63,17 +74,37 @@ fn all_units_agree_under_random_mappings() {
                     .collect()
             })
             .collect();
-        let mut nova = NovaVectorUnit::new(config, table).unwrap();
-        let mut seg = SegmentedNovaUnit::new(config, table).unwrap();
-        let mut pn = LutVectorUnit::new(table, routers, neurons, LutVariant::PerNeuron);
-        let mut pc = LutVectorUnit::new(table, routers, neurons, LutVariant::PerCore);
-        let x = nova.lookup_batch(&inputs).unwrap();
-        assert_eq!(x, seg.lookup_batch(&inputs).unwrap());
-        assert_eq!(x, pn.lookup_batch(&inputs).unwrap());
-        assert_eq!(x, pc.lookup_batch(&inputs).unwrap());
-        for (row_out, row_in) in x.iter().zip(&inputs) {
-            for (&o, &i) in row_out.iter().zip(row_in) {
-                assert_eq!(o, table.eval(i));
+        let mut units: [Box<dyn VectorUnit>; 4] = [
+            Box::new(NovaVectorUnit::new(config, &first).unwrap()),
+            Box::new(SegmentedNovaUnit::new(config, &first).unwrap()),
+            Box::new(LutVectorUnit::new(
+                &first,
+                routers,
+                neurons,
+                LutVariant::PerNeuron,
+            )),
+            Box::new(LutVectorUnit::new(
+                &first,
+                routers,
+                neurons,
+                LutVariant::PerCore,
+            )),
+        ];
+        for (step, table) in [&first, &second].into_iter().enumerate() {
+            let expect: Vec<Vec<Fixed>> = inputs
+                .iter()
+                .map(|row| row.iter().map(|&i| table.eval(i)).collect())
+                .collect();
+            for unit in &mut units {
+                if step > 0 {
+                    unit.switch_table(table).unwrap();
+                }
+                assert_eq!(
+                    unit.lookup_batch(&inputs).unwrap(),
+                    expect,
+                    "{} on table {step}",
+                    unit.name()
+                );
             }
         }
     }
