@@ -819,13 +819,21 @@ mod tests {
         // The tentpole bit-identity proof: for every raw word a 16-bit
         // format can hold, the direct-indexed address equals the
         // comparator tree's binary search, and eval agrees with a
-        // from-scratch clamp + partition_point + MAC datapath.
-        for activation in [Activation::Sigmoid, Activation::Gelu, Activation::Exp] {
+        // from-scratch clamp + partition_point + MAC datapath. Every
+        // table swept must take the dense-address path; GELU, exp and
+        // reciprocal are the ones the serving engine runs.
+        for activation in [
+            Activation::Sigmoid,
+            Activation::Gelu,
+            Activation::Exp,
+            Activation::Recip,
+        ] {
             for segments in [4usize, 16] {
                 let pwl =
                     fit::fit_activation(activation, segments, fit::BreakpointStrategy::Uniform)
                         .unwrap();
                 let q = QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap();
+                assert!(q.uses_dense_address(), "{activation:?}/{segments}");
                 let (lo, hi) = q.clamp_bounds();
                 assert_eq!(
                     q.dense_address_entries(),

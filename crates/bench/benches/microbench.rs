@@ -62,69 +62,6 @@ fn bench_pwl_eval(c: &mut Criterion) {
     c.bench_function("pwl/reference_gelu_x256", |b| {
         b.iter(|| xf.iter().map(|&x| Activation::Gelu.eval(x)).sum::<f64>())
     });
-    // The flat-pipeline eval ablation: per-element binary-search address
-    // generation (the retired path) vs the dense direct-index table
-    // behind `eval`/`eval_into`.
-    c.bench_function("pwl/eval_binary_search_x256", |b| {
-        b.iter(|| {
-            xq.iter()
-                .map(|&x| {
-                    let xc = t.clamp(x);
-                    let addr = t.breakpoints().partition_point(|d| d.raw() <= xc.raw());
-                    let pair = t.pairs()[addr];
-                    pair.slope
-                        .mul_add(xc, pair.bias, t.rounding())
-                        .unwrap()
-                        .raw()
-                })
-                .sum::<i64>()
-        })
-    });
-    // The branch-free-clamp ablation: the retired per-element batch body
-    // (compare-chain clamp via `clamp()`, `Result`-returning MAC) vs the
-    // shipped `eval_into` loop below (hoisted format check, `max`/`min`
-    // raw clamp, raw fused MAC) — before/after ns/query for the clamp
-    // rework, bit-identical by the full-raw-word sweep test.
-    c.bench_function("pwl/eval_branchy_clamp_into_x256", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            assert!(xq.iter().all(|x| x.format() == t.format()));
-            out.clear();
-            out.reserve(xq.len());
-            out.extend(xq.iter().map(|&x| {
-                let xc = t.clamp(x);
-                let pair = t.pairs()[t.lookup_address_clamped(xc)];
-                pair.slope.mul_add(xc, pair.bias, t.rounding()).unwrap()
-            }));
-            black_box(out.last().copied())
-        })
-    });
-    // The AoS-gather ablation: what the dense direct-index loop compiled
-    // to before the table went structure-of-arrays — raw clamp and raw
-    // fused MAC, but the `(slope, bias)` fetch is a 32-byte `SlopeBias`
-    // gather dragging both `Fixed` format tags through the hot loop.
-    // Kept as the before/after baseline for the SoA rows below.
-    c.bench_function("pwl/eval_aos_gather_into_x256", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            assert!(xq.iter().all(|x| x.format() == t.format()));
-            out.clear();
-            out.reserve(xq.len());
-            out.extend(xq.iter().map(|&x| {
-                let xc = t.clamp(x);
-                let pair = t.pairs()[t.lookup_address_clamped(xc)];
-                let raw = Fixed::mul_add_raw(
-                    pair.slope.raw(),
-                    xc.raw(),
-                    pair.bias.raw(),
-                    t.format(),
-                    t.rounding(),
-                );
-                Fixed::from_raw_saturating(raw, t.format())
-            }));
-            black_box(out.last().copied())
-        })
-    });
     // The shipped SoA raw-word kernel, through both entry points: the
     // growable-Vec wrapper (`eval_into`) and the preallocated-slice hot
     // path (`eval_to_slice`) the LUT units and the flat NoC path call.

@@ -14,7 +14,6 @@
 //! | `fig7` | Fig 7 — router power vs neurons/router |
 //! | `fig8` | Fig 8 — energy/inference for the BERT benchmarks |
 //! | `scalability` | §V.A — single-cycle reach vs frequency/pitch |
-//! | `serving` | multi-stream serving: throughput vs streams, occupancy vs load |
 
 pub mod harness;
 pub mod table;

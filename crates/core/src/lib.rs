@@ -21,7 +21,7 @@
 //!   broadcast schedules and programs the NoC clock multiplier, checking
 //!   the SMART timing feasibility,
 //! - [`engine`]: per-inference runtime + energy (the Fig 8 evaluation),
-//!   plus the multi-stream aggregate evaluation behind the serving bench,
+//!   plus the analytic multi-stream and fused-softmax serving models,
 //! - [`serving`]: the concurrent multi-tenant serving runtime — a
 //!   thread-shared keyed table cache and a builder-configured
 //!   worker-pool pipeline (admission → per-activation coalescing into

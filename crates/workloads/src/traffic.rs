@@ -12,9 +12,9 @@
 //! Traffic is an **open-loop arrival process**: every request carries an
 //! [`arrival_cycle`](TrafficRequest::arrival_cycle) stamped from seeded
 //! interarrival gaps (mean [`TrafficMix::mean_interarrival_cycles`]), so
-//! a serving bench can sweep *offered load* — queries per cycle pushed
-//! at the engine regardless of how fast it drains them — instead of
-//! replaying a pre-materialized burst. A mean of 0 degenerates to the
+//! a trace models *offered load* — queries per cycle pushed at the
+//! engine regardless of how fast it drains them — instead of a
+//! pre-materialized burst. A mean of 0 degenerates to the
 //! closed-loop burst (everything arrives at cycle 0).
 //!
 //! # Example
@@ -150,9 +150,8 @@ pub struct TrafficMix {
 }
 
 impl TrafficMix {
-    /// The default mix used by the serving bench and example: 4 requests
-    /// per stream at a short (edge-serving) sequence length, arriving as
-    /// a closed-loop burst.
+    /// The default mix: 4 requests per stream at a short (edge-serving)
+    /// sequence length, arriving as a closed-loop burst.
     #[must_use]
     pub fn paper_default(streams: usize) -> Self {
         Self {
@@ -394,10 +393,10 @@ pub fn query_values(seed: u64, count: usize, lo: f64, hi: f64) -> Vec<f64> {
 
 /// Draws the same seeded query stream as [`query_values`] but quantizes
 /// each draw straight into `format` and writes the words into a
-/// caller-recycled buffer — the flat extraction path the serving benches
-/// drive. `out` is cleared first; the draws are bit-identical to
-/// quantizing [`query_values`]' output (same PRNG sequence), with no
-/// intermediate `f64` vector allocated.
+/// caller-recycled buffer — the flat extraction path the serving tests,
+/// examples and benchmark drive. `out` is cleared first; the draws are
+/// bit-identical to quantizing [`query_values`]' output (same PRNG
+/// sequence), with no intermediate `f64` vector allocated.
 ///
 /// # Panics
 ///

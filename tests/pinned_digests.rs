@@ -1,10 +1,10 @@
 //! The four pinned output digests of the serving engine.
 //!
 //! Each digest is FNV-1a over the raw little-endian words of every
-//! output, in request order — the digest the serving bench bin prints.
-//! Every slate is served at 1 and 2 shards and compared with
-//! `serve_reference`, so a change to packing, dispatch or the worker
-//! interpreter that moves one output bit fails here by name.
+//! output, in request order. Every slate is served at 1, 2 and 4 shards
+//! and compared with `serve_reference`, so a change to packing, dispatch
+//! or the worker interpreter that moves one output bit fails here by
+//! name.
 
 use nova::serving::{
     FaultInjector, FaultPolicy, Plan, ServingEngine, ServingRequest, TableCache, TableKey,
@@ -117,7 +117,7 @@ fn pinned_output_digests_are_unchanged() {
         ("fused", &fused, std::slice::from_ref(&softmax), FUSED),
     ];
     for (name, slate, plans, pinned) in slates {
-        for shards in [1, 2] {
+        for shards in [1, 2, 4] {
             let (_, digest) = serve(slate, plans, shards, None, &cache);
             assert_eq!(
                 digest, pinned,
@@ -127,9 +127,15 @@ fn pinned_output_digests_are_unchanged() {
     }
     // The degraded slate again, with shard 0 of 4 flipping an output bit
     // on its second lookup: the canary quarantines it and the survivors
-    // re-run its units to the same words.
+    // re-run its units to the same words. The ledger must say so: one
+    // of four shards gone, its units requeued, and the requeue timed.
     let policy = FaultPolicy::new().inject(0, FaultInjector::bit_flip(1, 9));
     let (engine, digest) = serve(&degraded, &mixed, 4, Some(policy), &cache);
     assert_eq!(digest, DEGRADED, "degraded digest moved under quarantine");
-    assert_eq!(engine.stats().quarantined_shards, 1);
+    let stats = engine.stats();
+    assert_eq!(stats.quarantined_shards, 1);
+    assert_eq!(engine.healthy_shards(), 3);
+    assert!(stats.requeued_units >= 1, "{stats:?}");
+    assert!((stats.degraded_capacity_pct - 25.0).abs() < 1e-9);
+    assert!(engine.stage_times().requeue_ns > 0);
 }
