@@ -130,7 +130,7 @@ pub fn fit_activation(
 ///     Q4_12,
 ///     Rounding::NearestEven,
 /// )?;
-/// assert!(q.uses_dense_address());
+/// assert!(q.uses_output_table());
 /// # Ok(())
 /// # }
 /// ```

@@ -56,7 +56,7 @@ pub use error::ApproxError;
 pub use functions::Activation;
 pub use mlp::MlpApproximator;
 pub use piecewise::PiecewiseLinear;
-pub use quantized::{QuantizedPwl, SlopeBias, DENSE_ADDR_MAX_ENTRIES};
+pub use quantized::{QuantizedPwl, SlopeBias};
 
 /// The breakpoint count the paper uses for all attention-model evaluations
 /// (Table I: "all models use 16 breakpoints except CIFAR-10 which uses 8").

@@ -27,33 +27,41 @@ pub struct SlopeBias {
 ///
 /// # Storage layout and the batch kernel
 ///
-/// The table is stored twice, deliberately. The architectural view is
-/// `pairs: Vec<SlopeBias>` — an array of structs, in exactly the shape
-/// the NoC flit packer and the LUT banks consume. The evaluation view is
-/// a structure-of-arrays mirror (`slopes_raw` / `biases_raw`, plain
-/// `i64` words): the batch kernel
-/// ([`eval_to_slice_unchecked`](Self::eval_to_slice_unchecked)) gathers
-/// slope and bias from the two parallel arrays at unit stride instead of
-/// striding 32-byte `SlopeBias` records, which is what lets LLVM
-/// autovectorize the MAC loop. At ≤ `2^16` segments the duplication
-/// costs at most a few hundred KiB against the dense address table's
-/// 256 KiB, and typically (16 segments) under 300 bytes. The mirrors are
-/// built once, by [`from_pwl`](Self::from_pwl) or
-/// [`from_raw_parts`](Self::from_raw_parts), and never change.
+/// The architectural view is `pairs: Vec<SlopeBias>`, in exactly the
+/// shape the NoC flit packer and the LUT banks consume, next to raw `i64`
+/// mirrors of its words ([`slopes_raw`](Self::slopes_raw) /
+/// [`biases_raw`](Self::biases_raw)) for the warm-start snapshot codec
+/// and the wide-format pass. The evaluation view, for every format of at
+/// most 16 bits, is a materialized output table: entry `c − lo` holds the
+/// final output word for the clamped raw input `c`. The batch kernel
+/// ([`eval_to_slice_unchecked`](Self::eval_to_slice_unchecked)) is then a
+/// clamp plus one `i16` gather per word — the paper's one 16-bit lookup,
+/// with the MAC paid once per raw word at construction. A full-range
+/// 16-bit table is 65,536 entries, 128 KiB. Formats wider than 16 bits
+/// build no table and evaluate by binary search plus the fused MAC.
+/// Flits carry 16-bit words, so the NOVA unit only ever serves tables
+/// that take the gather. Everything is built once, by
+/// [`from_pwl`](Self::from_pwl) or [`from_raw_parts`](Self::from_raw_parts),
+/// and never changes.
 ///
-/// Measured (256-query Q4.12 GELU batch, one AVX-512 core, the
-/// `pwl/eval_*` rows of `cargo bench -p nova-bench`): per-element
-/// binary search ≈ 14 ns/query, the retired AoS direct-index gather
-/// ≈ 10, this SoA kernel ≈ 5–6. All three are bit-identical over every
-/// raw word of the format (the full-sweep test below).
+/// The scalar [`eval`](Self::eval) keeps the architectural datapath
+/// (comparator address → pair → fused MAC), so it stays an independent
+/// reference: the full-raw-word sweep test pins the batch kernel to it
+/// for every raw word, and the serving canary compares the two.
+///
+/// Measured by perfbench's traced lookup-mix run (Q4.12 GELU and exp,
+/// 2-vCPU Xeon, medians of alternating 40 s runs against the retired
+/// two-pass address-table kernel): `vector_unit.lookup_ns_per_query`
+/// fell from 5.3 to 3.0 ns (6 pairs), and `cache.fit_ms`, which includes
+/// the table build, from 0.073 to 0.056 ms (3 pairs).
 ///
 /// # Sharing
 ///
 /// A fitted table is immutable, and all of its storage sits behind one
 /// [`Arc`]: `clone()` bumps a reference count and copies nothing, so every
-/// clone reads the very same address table and SoA mirrors. Re-programming
+/// clone reads the very same output table and raw mirrors. Re-programming
 /// a unit — a NoC line and its comparators, a LUT or SDP core — is
-/// therefore a pointer copy, not a copy of up to 256 KiB.
+/// therefore a pointer copy, not a copy of up to 128 KiB.
 ///
 /// # Example
 ///
@@ -82,28 +90,19 @@ struct Body {
     rounding: Rounding,
     /// Interior thresholds, strictly increasing (comparator inputs).
     breakpoints: Vec<Fixed>,
-    /// One pair per segment (`breakpoints.len() + 1` entries). This is
-    /// the architectural (AoS) view — what the NoC broadcasts and the
-    /// LUT banks store; the batch kernel reads the SoA mirrors below.
+    /// One pair per segment (`breakpoints.len() + 1` entries): what the
+    /// NoC broadcasts and the LUT banks store.
     pairs: Vec<SlopeBias>,
-    /// Structure-of-arrays mirror of `pairs`: the raw slope words, in
-    /// segment order. An AoS gather (`pairs[addr].slope.raw()`) strides
-    /// 32 bytes per element and drags the unused `QFormat` tags through
-    /// the cache; these parallel raw arrays give the MAC loop unit-stride
-    /// 8-byte gathers the vectorizer can live with. Built from `pairs`
-    /// once, at construction.
+    /// The raw slope words of `pairs`, in segment order.
     slopes_raw: Vec<i64>,
-    /// SoA mirror of `pairs`: the raw bias words (see `slopes_raw`).
+    /// The raw bias words of `pairs`, in segment order.
     biases_raw: Vec<i64>,
     /// Clamp bounds in the fixed format.
     lo: Fixed,
     hi: Fixed,
-    /// Dense comparator-address table: entry `raw - lo.raw()` holds the
-    /// segment address for that clamped raw word, so the eval hot loop
-    /// replaces a binary search with one indexed load. Empty when the
-    /// clamped raw span exceeds [`DENSE_ADDR_MAX_ENTRIES`] (wide
-    /// formats), in which case lookup falls back to `partition_point`.
-    addr_table: Vec<u32>,
+    /// Materialized outputs: entry `c - lo.raw()` is the output word for
+    /// the clamped raw input `c`. Empty for formats wider than 16 bits.
+    outputs: Vec<i16>,
 }
 
 impl fmt::Debug for QuantizedPwl {
@@ -114,36 +113,12 @@ impl fmt::Debug for QuantizedPwl {
             .field("rounding", &b.rounding)
             .field("breakpoints", &b.breakpoints)
             .field("pairs", &b.pairs)
-            .field("slopes_raw", &b.slopes_raw)
-            .field("biases_raw", &b.biases_raw)
             .field("lo", &b.lo)
             .field("hi", &b.hi)
-            .field("addr_table", &b.addr_table)
+            .field("output_entries", &b.outputs.len())
             .finish()
     }
 }
-
-/// Size cap on the dense segment-address table, in entries.
-///
-/// The boundary is exact and *span-based*, not format-width-based: a table
-/// is dense if and only if its clamped raw span
-/// `hi.raw() - lo.raw() + 1 <= DENSE_ADDR_MAX_ENTRIES`. Consequences:
-///
-/// - Any 16-bit format stays dense even on a full-range domain — the
-///   widest possible span is exactly 65 536 entries (`i16::MIN..=i16::MAX`),
-///   which is `==` the cap, so it fits.
-/// - The narrowest format that can fall back is 17 bits total: a
-///   full-range 17-bit domain spans 131 072 entries. Whether it *does*
-///   fall back still depends on the fitted function's domain — a 24-bit
-///   format whose clamped domain covers ≤ 65 536 raw words is dense too.
-///
-/// Past the cap, [`QuantizedPwl::lookup_address_clamped`] and the batch
-/// kernels use the comparator-tree binary search (`partition_point`)
-/// instead of paying a multi-megabyte table per fitted function;
-/// [`QuantizedPwl::uses_dense_address`] reports which path a table took.
-/// The boundary tests pin both sides (65 536-entry span dense,
-/// 65 537-entry span not).
-pub const DENSE_ADDR_MAX_ENTRIES: usize = 1 << 16;
 
 impl QuantizedPwl {
     /// Quantizes a real-valued PWL function into hardware tables.
@@ -197,7 +172,7 @@ impl QuantizedPwl {
     }
 
     /// Wraps validated thresholds and pairs into a shared table, deriving
-    /// the SoA mirrors and the dense address table once.
+    /// the raw mirrors and the output table once.
     fn new(
         format: QFormat,
         rounding: Rounding,
@@ -209,7 +184,7 @@ impl QuantizedPwl {
         let body = Body {
             format,
             rounding,
-            addr_table: build_addr_table(&breakpoints, lo, hi),
+            outputs: build_outputs(format, rounding, lo, hi, &breakpoints, &pairs),
             slopes_raw: pairs.iter().map(|p| p.slope.raw()).collect(),
             biases_raw: pairs.iter().map(|p| p.bias.raw()).collect(),
             breakpoints,
@@ -225,9 +200,9 @@ impl QuantizedPwl {
     /// Rebuilds a table from its raw serialized words — the warm-start
     /// snapshot codec ([`slopes_raw`](Self::slopes_raw) /
     /// [`biases_raw`](Self::biases_raw) plus raw breakpoints and clamp
-    /// bounds). Every derived structure (the AoS pair view, the SoA
-    /// mirrors, the dense address table) is reconstructed, so a restored
-    /// table is indistinguishable from — and compares equal to — the
+    /// bounds). Every derived structure (the pair view, the raw mirrors,
+    /// the output table) is reconstructed, so a restored table is
+    /// indistinguishable from — and compares equal to — the
     /// [`from_pwl`](Self::from_pwl) original it was snapshotted from.
     ///
     /// # Errors
@@ -317,15 +292,15 @@ impl QuantizedPwl {
         (self.body.lo, self.body.hi)
     }
 
-    /// The SoA mirror of the segment slopes as raw format words, in
-    /// segment order — the view a warm-start snapshot serializes and
+    /// The segment slopes as raw format words, in segment order — the
+    /// view a warm-start snapshot serializes and
     /// [`from_raw_parts`](Self::from_raw_parts) consumes.
     #[must_use]
     pub fn slopes_raw(&self) -> &[i64] {
         &self.body.slopes_raw
     }
 
-    /// The SoA mirror of the segment biases as raw format words (see
+    /// The segment biases as raw format words (see
     /// [`slopes_raw`](Self::slopes_raw)).
     #[must_use]
     pub fn biases_raw(&self) -> &[i64] {
@@ -357,9 +332,8 @@ impl QuantizedPwl {
     }
 
     /// The lookup address for a word that is *already clamped* to the
-    /// function domain — the batch-eval fast path: one dense-table load
-    /// (or, for wide formats past the table cap, one binary search)
-    /// without re-clamping.
+    /// function domain: the comparator tree as a binary search over the
+    /// thresholds, without re-clamping.
     ///
     /// # Panics
     ///
@@ -371,37 +345,26 @@ impl QuantizedPwl {
             xc.raw() >= self.body.lo.raw() && xc.raw() <= self.body.hi.raw(),
             "lookup_address_clamped needs a clamped word"
         );
-        if self.body.addr_table.is_empty() {
-            self.body
-                .breakpoints
-                .partition_point(|d| d.raw() <= xc.raw())
-        } else {
-            self.body.addr_table[(xc.raw() - self.body.lo.raw()) as usize] as usize
-        }
+        self.body
+            .breakpoints
+            .partition_point(|d| d.raw() <= xc.raw())
     }
 
-    /// Entries in the dense segment-address table — 0 when the format's
-    /// clamped span exceeds [`DENSE_ADDR_MAX_ENTRIES`] and lookups fall
-    /// back to binary search.
+    /// Whether the batch paths evaluate through the materialized output
+    /// table (every format of at most 16 bits, whatever its domain) or by
+    /// binary search plus the fused MAC (wider formats). Serving setups
+    /// should assert this is `true` for their hot tables.
     #[must_use]
-    pub fn dense_address_entries(&self) -> usize {
-        self.body.addr_table.len()
-    }
-
-    /// Whether this table resolves segment addresses through the dense
-    /// direct-index table (clamped span ≤ [`DENSE_ADDR_MAX_ENTRIES`]) or
-    /// fell back to the comparator-tree binary search. Serving setups
-    /// should assert this is `true` for their hot tables — the dense path
-    /// is the one the SoA batch kernel vectorizes.
-    #[must_use]
-    pub fn uses_dense_address(&self) -> bool {
-        !self.body.addr_table.is_empty()
+    pub fn uses_output_table(&self) -> bool {
+        !self.body.outputs.is_empty()
     }
 
     /// Full datapath evaluation: clamp → comparator address → pair select →
     /// fused MAC with a single output rounding. The clamp happens exactly
     /// once — the address lookup consumes the already-saturated word, as
-    /// the comparator front-end does in hardware.
+    /// the comparator front-end does in hardware. This path never reads
+    /// the output table, so it is the reference the batch kernel is
+    /// checked against.
     ///
     /// # Panics
     ///
@@ -414,17 +377,11 @@ impl QuantizedPwl {
             self.format(),
             "input word format must match table format"
         );
-        self.eval_clamped(self.clamp(x))
-    }
-
-    /// The format-checked, clamped core of [`eval`](Self::eval): pair
-    /// select through the dense address table plus the fused MAC.
-    #[inline]
-    fn eval_clamped(&self, xc: Fixed) -> Fixed {
+        let xc = self.clamp(x);
         let pair = self.body.pairs[self.lookup_address_clamped(xc)];
         pair.slope
             .mul_add(xc, pair.bias, self.rounding())
-            .expect("formats verified equal by the caller")
+            .expect("formats verified equal above")
     }
 
     /// Evaluates a whole vector through the datapath.
@@ -445,10 +402,9 @@ impl QuantizedPwl {
     /// allocation across calls instead of paying a fresh `Vec` per
     /// [`eval_slice`](Self::eval_slice).
     ///
-    /// This is the branch-free batch path: the format check runs as one
-    /// pass over the batch instead of per element, and the loop itself
-    /// is a `max`/`min` raw-word clamp + dense-table address + raw fused
-    /// MAC — no assert, no compare-chain clamp, no per-element `Result`.
+    /// The format check runs as one pass over the batch instead of per
+    /// element; `out` is then written in one pass of the batch kernel
+    /// (see [`eval_to_slice_unchecked`](Self::eval_to_slice_unchecked)).
     ///
     /// # Panics
     ///
@@ -461,8 +417,7 @@ impl QuantizedPwl {
             "input word format must match table format"
         );
         out.clear();
-        out.resize(xs.len(), Fixed::zero(format));
-        self.eval_to_slice_unchecked(xs, out);
+        out.extend(xs.iter().map(self.kernel()));
     }
 
     /// Evaluates a slice *in place* over an output slice of equal length —
@@ -482,9 +437,9 @@ impl QuantizedPwl {
         self.eval_to_slice_unchecked(xs, out);
     }
 
-    /// The structure-of-arrays batch kernel shared by every batch path
-    /// (and, through the `nova-lut` / `nova-noc` fast paths, by the whole
-    /// serving data plane).
+    /// The batch kernel shared by every batch path (and, through the
+    /// `nova-lut` / `nova-noc` fast paths, by the whole serving data
+    /// plane).
     ///
     /// "Unchecked" refers to the *format* contract only — no `unsafe` is
     /// involved: callers must already have verified that every word of
@@ -492,115 +447,48 @@ impl QuantizedPwl {
     /// (both debug-asserted). [`eval_into`](Self::eval_into) and
     /// [`eval_to_slice`](Self::eval_to_slice) are the checked wrappers.
     ///
-    /// The dense path runs chunked 8-wide over raw `i64` words: a first
-    /// pass clamps (`max`/`min`, no branch) and gathers the dense segment
-    /// address into a small reused index scratch; a second pass gathers
-    /// slope/bias from the unit-stride SoA arrays and does the fused MAC
-    /// with a branch-free rounding increment. No `Fixed` wrapper exists
-    /// inside the loop, format/rounding state is hoisted, and the
-    /// rounding mode is monomorphized at dispatch so LLVM can
-    /// autovectorize the arithmetic. Bit-identity with the scalar
-    /// clamp → [`eval_clamped`](Self::eval_clamped) datapath is pinned by
-    /// the full-raw-word sweep test.
+    /// Per word: a branch-free `max`/`min` raw clamp, then one gather
+    /// from the output table (for formats wider than 16 bits, a binary
+    /// search plus the fused MAC). Bit-identity with the scalar
+    /// [`eval`](Self::eval) datapath is pinned by the full-raw-word sweep
+    /// test.
     pub fn eval_to_slice_unchecked(&self, xs: &[Fixed], out: &mut [Fixed]) {
         debug_assert_eq!(xs.len(), out.len(), "caller owns the length check");
         debug_assert!(
             xs.iter().all(|x| x.format() == self.format()),
             "caller owns the format check"
         );
-        if self.body.addr_table.is_empty() {
-            self.eval_binary_search_pass(xs, out);
-        } else {
-            // Dispatch once so `rounding` is a compile-time constant in
-            // each monomorphized copy of the (inlined) dense pass: the
-            // rounding match folds away and the loop body is branch-free.
-            match self.rounding() {
-                Rounding::NearestEven => self.eval_dense_soa_pass(xs, out, Rounding::NearestEven),
-                Rounding::NearestAway => self.eval_dense_soa_pass(xs, out, Rounding::NearestAway),
-                Rounding::Floor => self.eval_dense_soa_pass(xs, out, Rounding::Floor),
-            }
+        let kernel = self.kernel();
+        for (x, slot) in xs.iter().zip(out) {
+            *slot = kernel(x);
         }
     }
 
-    /// The dense-table SoA kernel (see
-    /// [`eval_to_slice_unchecked`](Self::eval_to_slice_unchecked)).
-    /// `#[inline(always)]` + a literal `rounding` argument at every call
-    /// site is what makes each copy monomorphic without duplicating the
-    /// rounding logic.
-    #[inline(always)]
-    fn eval_dense_soa_pass(&self, xs: &[Fixed], out: &mut [Fixed], rounding: Rounding) {
-        /// Chunk width of the two-pass loop. 8 × i64 is one 64-byte cache
-        /// line and a multiple of every SIMD width the default target
-        /// supports, so the stack scratch below vectorizes cleanly.
-        const LANES: usize = 8;
+    /// One word of the batch kernel, with the table state hoisted. The
+    /// `.min(last)` index clamp keeps the bounds check out of the loop
+    /// without `unsafe`; it never binds, because the table spans exactly
+    /// `lo..=hi`.
+    #[inline]
+    fn kernel(&self) -> impl Fn(&Fixed) -> Fixed + '_ {
         let body = &*self.body;
-        let format = body.format;
-        let lo = body.lo.raw();
-        let hi = body.hi.raw();
-        let table = body.addr_table.as_slice();
-        let slopes = body.slopes_raw.as_slice();
-        let biases = body.biases_raw.as_slice();
-        // `.min(last)` index clamps below keep the compiler's bounds
-        // checks out of the loops without `unsafe`; the clamp never binds
-        // (addresses are in range by construction of `addr_table`).
-        let t_last = table.len() - 1;
-        let s_last = slopes.len().min(biases.len()) - 1;
-        // Reused per-chunk scratch: clamped raw words and their dense
-        // segment addresses, filled by pass 1 and consumed by pass 2.
-        let mut craw = [0i64; LANES];
-        let mut idx = [0u32; LANES];
-        let mut in_chunks = xs.chunks_exact(LANES);
-        let mut out_chunks = out.chunks_exact_mut(LANES);
-        for (cx, co) in (&mut in_chunks).zip(&mut out_chunks) {
-            for j in 0..LANES {
-                let c = cx[j].raw().max(lo).min(hi);
-                craw[j] = c;
-                idx[j] = table[((c - lo) as usize).min(t_last)];
-            }
-            for j in 0..LANES {
-                let a = (idx[j] as usize).min(s_last);
-                let raw = Fixed::mul_add_raw(slopes[a], craw[j], biases[a], format, rounding);
-                co[j] = Fixed::from_raw_saturating(raw, format);
-            }
-        }
-        // Remainder (< LANES elements): same body, scalar.
-        for (&x, slot) in in_chunks
-            .remainder()
-            .iter()
-            .zip(out_chunks.into_remainder())
-        {
+        let (format, lo, hi) = (body.format, body.lo.raw(), body.hi.raw());
+        let outputs = body.outputs.as_slice();
+        let last = outputs.len().wrapping_sub(1);
+        move |x| {
             let c = x.raw().max(lo).min(hi);
-            let a = (table[((c - lo) as usize).min(t_last)] as usize).min(s_last);
-            let raw = Fixed::mul_add_raw(slopes[a], c, biases[a], format, rounding);
-            *slot = Fixed::from_raw_saturating(raw, format);
-        }
-    }
-
-    /// Wide formats past the dense-table cap: comparator-tree binary
-    /// search per element. The clamp and the fused MAC are the same raw
-    /// SoA operations as the dense pass; only the address generation
-    /// differs (and dominates), so this path is not chunked.
-    fn eval_binary_search_pass(&self, xs: &[Fixed], out: &mut [Fixed]) {
-        let body = &*self.body;
-        let format = body.format;
-        let rounding = body.rounding;
-        let lo = body.lo.raw();
-        let hi = body.hi.raw();
-        let s_last = body.slopes_raw.len().min(body.biases_raw.len()) - 1;
-        for (&x, slot) in xs.iter().zip(out) {
-            let craw = x.raw().max(lo).min(hi);
-            let addr = body
-                .breakpoints
-                .partition_point(|d| d.raw() <= craw)
-                .min(s_last);
-            let raw = Fixed::mul_add_raw(
-                body.slopes_raw[addr],
-                craw,
-                body.biases_raw[addr],
-                format,
-                rounding,
-            );
-            *slot = Fixed::from_raw_saturating(raw, format);
+            let raw = if outputs.is_empty() {
+                let a = body.breakpoints.partition_point(|d| d.raw() <= c);
+                Fixed::mul_add_raw(
+                    body.slopes_raw[a],
+                    c,
+                    body.biases_raw[a],
+                    format,
+                    body.rounding,
+                )
+            } else {
+                i64::from(outputs[((c - lo) as usize).min(last)])
+            };
+            Fixed::from_raw_saturating(raw, format)
         }
     }
 
@@ -612,33 +500,79 @@ impl QuantizedPwl {
     }
 }
 
-/// Precomputes the dense segment-address table over the clamped raw span
-/// `[lo, hi]`: one `u32` address per raw word, produced by a single
-/// monotone sweep over the (strictly increasing) thresholds. Returns an
-/// empty table when the span exceeds [`DENSE_ADDR_MAX_ENTRIES`].
-fn build_addr_table(breakpoints: &[Fixed], lo: Fixed, hi: Fixed) -> Vec<u32> {
-    let span = (hi.raw() - lo.raw()) as u128 + 1;
-    if span > DENSE_ADDR_MAX_ENTRIES as u128 {
+/// Materializes the output table over the clamped raw span `[lo, hi]`
+/// (see [`Body::outputs`]); empty for formats wider than 16 bits.
+///
+/// One sweep per segment: each inner loop runs one `(slope, bias)` fused
+/// MAC over a run of consecutive raw words, which LLVM vectorizes. The
+/// MAC is exact in `i32`. With words of at most 16 bits and at most 15
+/// fraction bits, `s·c` reaches magnitude `2^30` only as `+2^30`
+/// (`s = c = −2^15`) and `b << frac` only as `−2^30` (`b = −2^15`), so
+/// `|s·c + (b << frac)| ≤ 2^30 + 2^30 − 2^15 = 2^31 − 2^15 < 2^31`.
+fn build_outputs(
+    format: QFormat,
+    rounding: Rounding,
+    lo: Fixed,
+    hi: Fixed,
+    breakpoints: &[Fixed],
+    pairs: &[SlopeBias],
+) -> Vec<i16> {
+    if format.total_bits() > 16 {
         return Vec::new();
     }
-    let span = span as usize;
-    let mut table = Vec::with_capacity(span);
-    let mut addr = 0usize;
-    for offset in 0..span {
-        let raw = lo.raw() + offset as i64;
-        while addr < breakpoints.len() && breakpoints[addr].raw() <= raw {
-            addr += 1;
+    let lo = lo.raw() as i32;
+    let mut outputs = vec![0i16; (hi.raw() as i32 - lo) as usize + 1];
+    let mut runs = breakpoints.iter().map(|d| (d.raw() as i32 - lo) as usize);
+    let mut start = 0;
+    for pair in pairs {
+        let end = runs.next().unwrap_or(outputs.len());
+        let run = &mut outputs[start..end];
+        let (s, b) = (pair.slope.raw() as i32, pair.bias.raw() as i32);
+        let first = lo + start as i32;
+        // Dispatch once per run so `rounding` is a constant in each
+        // inlined copy and the loop body is branch-free.
+        match rounding {
+            Rounding::NearestEven => mac_run(run, first, s, b, format, Rounding::NearestEven),
+            Rounding::NearestAway => mac_run(run, first, s, b, format, Rounding::NearestAway),
+            Rounding::Floor => mac_run(run, first, s, b, format, Rounding::Floor),
         }
-        table.push(addr as u32);
+        start = end;
     }
-    table
+    outputs
+}
+
+/// Fills `run[i]` with the output word of raw input `c = first + i`:
+/// `s·c + (b << frac)`, rounded once and saturated — the `i32` twin of
+/// [`Fixed::mul_add_raw`] for words of at most 16 bits.
+#[inline(always)]
+fn mac_run(run: &mut [i16], first: i32, s: i32, b: i32, format: QFormat, rounding: Rounding) {
+    let frac = format.frac_bits();
+    let (min, max) = (format.min_raw() as i16, format.max_raw() as i16);
+    let mask = (1i32 << frac) - 1;
+    // Never reached by `rem` when `frac == 0`, so nothing rounds there.
+    let half = 1i32 << frac.saturating_sub(1);
+    let b = b << frac;
+    for (slot, c) in run.iter_mut().zip(first..) {
+        let wide = s * c + b;
+        let floor = wide >> frac;
+        let rem = wide & mask;
+        let bump = match rounding {
+            Rounding::Floor => false,
+            Rounding::NearestAway => rem > half || (rem == half && wide >= 0),
+            Rounding::NearestEven => rem > half || (rem == half && floor & 1 == 1),
+        };
+        // Saturating to `i16` first, then to the format, vectorizes as
+        // packs plus `i16` min/max instead of `i32` compare-and-blends.
+        let word = (floor + i32::from(bump)).clamp(i16::MIN.into(), i16::MAX.into()) as i16;
+        *slot = word.clamp(min, max);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{fit, Activation, PiecewiseLinear};
-    use nova_fixed::{Q4_12, Q6_10};
+    use nova_fixed::{Q4_12, Q6_10, Q8_8};
 
     fn sigmoid16() -> QuantizedPwl {
         let pwl =
@@ -670,7 +604,7 @@ mod tests {
         .unwrap();
         // Raw-word identical, derived structures rebuilt in lockstep.
         assert_eq!(r, q);
-        assert_eq!(r.uses_dense_address(), q.uses_dense_address());
+        assert!(r.uses_output_table() && q.uses_output_table());
         for raw in (Q4_12.min_raw()..=Q4_12.max_raw()).step_by(97) {
             let x = Fixed::from_raw(raw, Q4_12).unwrap();
             assert_eq!(r.eval(x), q.eval(x));
@@ -814,69 +748,118 @@ mod tests {
         q.eval_into(&xs, &mut out);
     }
 
+    /// Checks batch == scalar `eval` == a from-scratch clamp +
+    /// `partition_point` + `mul_add` datapath for every raw word of the
+    /// table's format, through every batch entry point.
+    fn sweep_every_raw_word(q: &QuantizedPwl, what: &str) {
+        let (format, (lo, hi)) = (q.format(), q.clamp_bounds());
+        let xs: Vec<Fixed> = (format.min_raw()..=format.max_raw())
+            .map(|raw| Fixed::from_raw(raw, format).unwrap())
+            .collect();
+        let scalar: Vec<Fixed> = xs.iter().map(|&x| q.eval(x)).collect();
+        for (&x, &y) in xs.iter().zip(&scalar) {
+            let xc = Fixed::from_raw(x.raw().clamp(lo.raw(), hi.raw()), format).unwrap();
+            let address = q.breakpoints().partition_point(|d| d.raw() <= xc.raw());
+            assert_eq!(q.lookup_address(x), address, "{what}: raw {}", x.raw());
+            let pair = q.pairs()[address];
+            let expect = pair.slope.mul_add(xc, pair.bias, q.rounding()).unwrap();
+            assert_eq!(y, expect, "{what}: raw {}", x.raw());
+        }
+        let mut batched = vec![Fixed::one(format); 3];
+        q.eval_into(&xs, &mut batched);
+        assert_eq!(batched, scalar, "{what}: eval_into");
+        let mut sliced = vec![Fixed::zero(format); xs.len()];
+        q.eval_to_slice(&xs, &mut sliced);
+        assert_eq!(sliced, scalar, "{what}: eval_to_slice");
+    }
+
     #[test]
-    fn dense_address_table_matches_partition_point_for_every_raw_word() {
-        // The tentpole bit-identity proof: for every raw word a 16-bit
-        // format can hold, the direct-indexed address equals the
-        // comparator tree's binary search, and eval agrees with a
-        // from-scratch clamp + partition_point + MAC datapath. Every
-        // table swept must take the dense-address path; GELU, exp and
-        // reciprocal are the ones the serving engine runs.
-        for activation in [
-            Activation::Sigmoid,
-            Activation::Gelu,
-            Activation::Exp,
-            Activation::Recip,
-        ] {
-            for segments in [4usize, 16] {
-                let pwl =
-                    fit::fit_activation(activation, segments, fit::BreakpointStrategy::Uniform)
-                        .unwrap();
-                let q = QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap();
-                assert!(q.uses_dense_address(), "{activation:?}/{segments}");
-                let (lo, hi) = q.clamp_bounds();
-                assert_eq!(
-                    q.dense_address_entries(),
-                    (hi.raw() - lo.raw()) as usize + 1,
-                    "16-bit span must be dense-indexed"
-                );
-                for raw in Q4_12.min_raw()..=Q4_12.max_raw() {
-                    let x = Fixed::from_raw(raw, Q4_12).unwrap();
-                    let xc = q.clamp(x);
-                    let reference = q.breakpoints().partition_point(|d| d.raw() <= xc.raw());
+    fn output_table_matches_scalar_datapath_for_every_raw_word() {
+        // The bit-identity proof of the batch kernel: for every raw word,
+        // the output-table gather equals scalar eval, which equals a
+        // from-scratch clamp + partition_point + MAC datapath. The table
+        // build has one path per rounding mode, so Q4.12 is swept in all
+        // three, and Q8.8 covers another fraction width. GELU, exp and
+        // reciprocal are the tables the serving engine runs; every table
+        // swept must take the output-table path.
+        let configs = [
+            (Q4_12, Rounding::NearestEven),
+            (Q4_12, Rounding::NearestAway),
+            (Q4_12, Rounding::Floor),
+            (Q8_8, Rounding::NearestEven),
+        ];
+        for (format, rounding) in configs {
+            for activation in [
+                Activation::Sigmoid,
+                Activation::Gelu,
+                Activation::Exp,
+                Activation::Recip,
+            ] {
+                for segments in [4usize, 16] {
+                    let what = format!("{format}/{rounding:?}/{activation:?}/{segments}");
+                    let q = fit::fit_quantized(
+                        activation,
+                        segments,
+                        fit::BreakpointStrategy::Uniform,
+                        format,
+                        rounding,
+                    )
+                    .unwrap();
+                    assert!(q.uses_output_table(), "{what}");
+                    let (lo, hi) = q.clamp_bounds();
                     assert_eq!(
-                        q.lookup_address(x),
-                        reference,
-                        "{activation:?}/{segments}: raw {raw}"
+                        q.body.outputs.len(),
+                        (hi.raw() - lo.raw()) as usize + 1,
+                        "{what}: the table spans the clamped domain"
                     );
-                    let pair = q.pairs()[reference];
-                    let expect = pair.slope.mul_add(xc, pair.bias, q.rounding()).unwrap();
-                    assert_eq!(q.eval(x), expect, "{activation:?}/{segments}: raw {raw}");
+                    sweep_every_raw_word(&q, &what);
                 }
-                // The SoA batch paths (hoisted format check, chunked
-                // `max`/`min` raw clamp, raw-word slope/bias gather, raw
-                // fused MAC) must agree with scalar eval — and therefore
-                // with the per-element AoS datapath checked above — over
-                // the same full-raw-word sweep.
-                let xs: Vec<Fixed> = (Q4_12.min_raw()..=Q4_12.max_raw())
-                    .map(|raw| Fixed::from_raw(raw, Q4_12).unwrap())
-                    .collect();
-                let scalar: Vec<Fixed> = xs.iter().map(|&x| q.eval(x)).collect();
-                let mut batched = Vec::new();
-                q.eval_into(&xs, &mut batched);
-                assert_eq!(batched, scalar, "{activation:?}/{segments}: eval_into");
-                let mut sliced = vec![Fixed::zero(Q4_12); xs.len()];
-                q.eval_to_slice(&xs, &mut sliced);
-                assert_eq!(sliced, scalar, "{activation:?}/{segments}: eval_to_slice");
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_words_stay_exact_at_the_edge_of_the_i32_bound() {
+        // Q1.15 over the full domain, with every slope and bias at a
+        // format extreme: at c = −2^15 the first table's MAC reaches
+        // s·c + (b << 15) = 2^31 − 2^15 and the second's −(2^31 − 2^15),
+        // the edges of the i32 bound the table build relies on.
+        let q1_15 = QFormat::new(16, 15).unwrap();
+        let (min, max) = (q1_15.min_raw(), q1_15.max_raw());
+        let thresholds = [-16_384, 0, 16_384];
+        let tables = [
+            ([min, max, min, max], [max, min, min, max]),
+            ([max, min, max, min], [min, max, max, min]),
+        ];
+        for rounding in [
+            Rounding::NearestEven,
+            Rounding::NearestAway,
+            Rounding::Floor,
+        ] {
+            for (slopes, biases) in &tables {
+                let q = QuantizedPwl::from_raw_parts(
+                    q1_15,
+                    rounding,
+                    min,
+                    max,
+                    &thresholds,
+                    slopes,
+                    biases,
+                )
+                .unwrap();
+                assert!(q.uses_output_table());
+                assert_eq!(q.body.outputs.len(), 1 << 16);
+                sweep_every_raw_word(&q, &format!("Q1.15/{rounding:?}/{slopes:?}"));
             }
         }
     }
 
     #[test]
     fn soa_arrays_mirror_pairs_through_construction_and_reprogram() {
-        // The SoA mirrors must be the raw words of `pairs`, in order. A
+        // The raw mirrors must be the raw words of `pairs`, in order. A
         // clone — what a unit keeps after a re-program — must share the
-        // source's storage instead of copying it, and compare equal.
+        // source's storage, output table included, instead of copying
+        // it, and compare equal.
         let check = |q: &QuantizedPwl| {
             assert_eq!(q.slopes_raw().len(), q.pairs().len());
             assert_eq!(q.biases_raw().len(), q.pairs().len());
@@ -889,6 +872,7 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(a.pairs().as_ptr(), b.pairs().as_ptr(), "pairs copied");
             assert_eq!(a.slopes_raw().as_ptr(), b.slopes_raw().as_ptr());
+            assert_eq!(a.body.outputs.as_ptr(), b.body.outputs.as_ptr());
             assert_eq!(a.breakpoints().as_ptr(), b.breakpoints().as_ptr());
         };
         let sigmoid = sigmoid16();
@@ -904,10 +888,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_address_cap_boundary_is_exact() {
-        // The fallback boundary is span-based. A full-range 16-bit domain
-        // spans exactly DENSE_ADDR_MAX_ENTRIES raw words — the widest
-        // span that stays dense...
+    fn output_table_boundary_is_the_word_width() {
+        // The boundary is the word width, not the domain. A full-range
+        // 16-bit domain takes the table: 65,536 entries, the most a
+        // 16-bit format can need...
         let ramp = |x: f64| 0.125 * x;
         let full16 = fit::fit_function(&ramp, (-8.0, 8.0), 4, fit::BreakpointStrategy::Uniform)
             .map(|pwl| QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap())
@@ -915,56 +899,61 @@ mod tests {
         let (lo, hi) = full16.clamp_bounds();
         assert_eq!(lo.raw(), Q4_12.min_raw());
         assert_eq!(hi.raw(), Q4_12.max_raw());
-        assert_eq!(full16.dense_address_entries(), DENSE_ADDR_MAX_ENTRIES);
-        assert!(full16.uses_dense_address());
-        // ...while one more total bit over the same real domain doubles
-        // the span past the cap: 17 bits is the narrowest format that
-        // can fall back, and a full-range 17-bit domain does.
+        assert!(full16.uses_output_table());
+        assert_eq!(full16.body.outputs.len(), 1 << 16);
+        // ...while a 17-bit format takes binary search whatever its
+        // domain: full-range, and narrower than a 16-bit table.
         let q5_12 = QFormat::new(17, 12).unwrap();
         let wide = fit::fit_function(&ramp, (-16.0, 16.0), 4, fit::BreakpointStrategy::Uniform)
             .map(|pwl| QuantizedPwl::from_pwl(&pwl, q5_12, Rounding::NearestEven).unwrap())
             .unwrap();
-        let (wlo, whi) = wide.clamp_bounds();
-        assert!(
-            (whi.raw() - wlo.raw()) as usize + 1 > DENSE_ADDR_MAX_ENTRIES,
-            "full 17-bit span must exceed the cap"
-        );
-        assert_eq!(wide.dense_address_entries(), 0);
-        assert!(!wide.uses_dense_address());
-        // A *narrow-domain* wide format stays dense — the boundary is the
-        // span, not the word width.
         let narrow_domain =
             fit::fit_function(&ramp, (-2.0, 2.0), 4, fit::BreakpointStrategy::Uniform)
                 .map(|pwl| QuantizedPwl::from_pwl(&pwl, q5_12, Rounding::NearestEven).unwrap())
                 .unwrap();
-        assert!(narrow_domain.uses_dense_address());
-        assert_eq!(narrow_domain.dense_address_entries(), 4 * 4096 + 1);
-        // Both sides of the boundary still evaluate identically to the
-        // scalar datapath on their edge words.
+        for q in [&wide, &narrow_domain] {
+            assert!(!q.uses_output_table());
+            assert!(q.body.outputs.is_empty());
+        }
+        // Both sides of the boundary evaluate identically to the scalar
+        // datapath on their edge words, inside and outside the domain.
         for q in [&full16, &wide, &narrow_domain] {
+            let fmt = q.format();
             let (lo, hi) = q.clamp_bounds();
-            let xs = [lo, hi, Fixed::zero(q.format())];
-            let mut out = vec![Fixed::zero(q.format()); xs.len()];
+            let xs: Vec<Fixed> = [
+                fmt.min_raw(),
+                lo.raw() - 1,
+                lo.raw(),
+                lo.raw() + 1,
+                0,
+                hi.raw() - 1,
+                hi.raw(),
+                hi.raw() + 1,
+                fmt.max_raw(),
+            ]
+            .into_iter()
+            .map(|raw| Fixed::from_raw_saturating(raw, fmt))
+            .collect();
+            let mut out = vec![Fixed::zero(fmt); xs.len()];
             q.eval_to_slice(&xs, &mut out);
             for (&x, &y) in xs.iter().zip(&out) {
-                assert_eq!(y, q.eval(x));
+                assert_eq!(y, q.eval(x), "{fmt}: raw {}", x.raw());
             }
         }
     }
 
     #[test]
     fn empty_and_single_element_batches_on_both_paths() {
-        // Chunked-kernel edge pins: the remainder loop must handle a
-        // 0-element and a 1-element batch on the dense path, and the
-        // binary-search path must do the same.
-        let dense = sigmoid16();
+        // Both batch paths must handle a 0-element and a 1-element batch:
+        // the output-table gather and the wide-format binary search.
+        let gather = sigmoid16();
         let wide_fmt = QFormat::new(24, 20).unwrap();
         let wide_pwl =
             fit::fit_activation(Activation::Tanh, 16, fit::BreakpointStrategy::Uniform).unwrap();
         let wide = QuantizedPwl::from_pwl(&wide_pwl, wide_fmt, Rounding::NearestEven).unwrap();
-        assert!(dense.uses_dense_address());
-        assert!(!wide.uses_dense_address());
-        for q in [&dense, &wide] {
+        assert!(gather.uses_output_table());
+        assert!(!wide.uses_output_table());
+        for q in [&gather, &wide] {
             let fmt = q.format();
             // Empty: no panic, output untouched/cleared.
             q.eval_to_slice(&[], &mut []);
@@ -986,15 +975,13 @@ mod tests {
 
     #[test]
     fn wide_formats_fall_back_to_binary_search() {
-        // At 20 fraction bits tanh's clamped domain spans ~2^23 raw
-        // values — past the dense-table cap, so the table must stay empty
-        // and lookups must still agree with partition_point on sampled
-        // words.
+        // A 24-bit format builds no output table, and its lookups must
+        // still agree with partition_point on sampled words.
         let wide = QFormat::new(24, 20).unwrap();
         let pwl =
             fit::fit_activation(Activation::Tanh, 16, fit::BreakpointStrategy::Uniform).unwrap();
         let q = QuantizedPwl::from_pwl(&pwl, wide, Rounding::NearestEven).unwrap();
-        assert_eq!(q.dense_address_entries(), 0, "wide span must not be dense");
+        assert!(!q.uses_output_table(), "wide formats take binary search");
         for raw in (wide.min_raw()..wide.max_raw()).step_by(65_537) {
             let x = Fixed::from_raw(raw, wide).unwrap();
             let xc = q.clamp(x);
@@ -1003,7 +990,7 @@ mod tests {
                 q.breakpoints().partition_point(|d| d.raw() <= xc.raw())
             );
         }
-        // The batch paths' binary-search branch must agree with scalar
+        // The batch paths' binary-search pass must agree with scalar
         // eval too.
         let xs: Vec<Fixed> = (wide.min_raw()..wide.max_raw())
             .step_by(65_537)
@@ -1014,6 +1001,23 @@ mod tests {
         for (&x, &y) in xs.iter().zip(&out) {
             assert_eq!(y, q.eval(x));
         }
+    }
+
+    #[test]
+    fn debug_prints_the_output_table_size_not_its_contents() {
+        // A failing assert_eq! on tables must not flood the log with the
+        // 65,455-entry output table of a fitted GELU.
+        let gelu = fit::fit_quantized(
+            Activation::Gelu,
+            16,
+            fit::BreakpointStrategy::Uniform,
+            Q4_12,
+            Rounding::NearestEven,
+        )
+        .unwrap();
+        let dbg = format!("{gelu:?}");
+        assert!(dbg.len() < 8 * 1024, "{} bytes", dbg.len());
+        assert!(dbg.contains(&format!("output_entries: {}", gelu.body.outputs.len())));
     }
 
     #[test]

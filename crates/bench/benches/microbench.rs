@@ -62,18 +62,18 @@ fn bench_pwl_eval(c: &mut Criterion) {
     c.bench_function("pwl/reference_gelu_x256", |b| {
         b.iter(|| xf.iter().map(|&x| Activation::Gelu.eval(x)).sum::<f64>())
     });
-    // The shipped SoA raw-word kernel, through both entry points: the
-    // growable-Vec wrapper (`eval_into`) and the preallocated-slice hot
-    // path (`eval_to_slice`) the LUT units and the flat NoC path call.
+    // The shipped output-table gather kernel, through both entry points:
+    // the growable-Vec wrapper (`eval_into`) and the preallocated-slice
+    // hot path (`eval_to_slice`) the LUT units and the flat NoC path call.
     let mut out = Vec::new();
-    c.bench_function("pwl/eval_direct_index_into_x256", |b| {
+    c.bench_function("pwl/eval_gather_into_x256", |b| {
         b.iter(|| {
             t.eval_into(black_box(&xq), &mut out);
             black_box(out.last().copied())
         })
     });
     let mut out_slice = vec![Fixed::zero(Q4_12); xq.len()];
-    c.bench_function("pwl/eval_soa_to_slice_x256", |b| {
+    c.bench_function("pwl/eval_gather_to_slice_x256", |b| {
         b.iter(|| {
             t.eval_to_slice(black_box(&xq), &mut out_slice);
             black_box(out_slice.last().copied())

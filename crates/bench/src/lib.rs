@@ -14,6 +14,9 @@
 //! | `fig7` | Fig 7 — router power vs neurons/router |
 //! | `fig8` | Fig 8 — energy/inference for the BERT benchmarks |
 //! | `scalability` | §V.A — single-cycle reach vs frequency/pitch |
+//! | `sweep` | sweeps beyond the paper's points: sequence length, breakpoint budget, schedule |
+//! | `ablation` | ablations: broadcast width, fitting strategy, word format, DVFS, switch cost |
+//! | `timeline` | §I — per-layer timeline and the non-linear share of runtime |
 
 pub mod harness;
 pub mod table;

@@ -585,8 +585,8 @@ impl TableCache {
     /// Serializes every resident table into a warm-start snapshot: a
     /// [`Value`] tree (render it with [`Value::to_json`]) holding each
     /// table's [`TableKey`] plus its exact raw words — clamp bounds,
-    /// quantized breakpoints, and the `slopes_raw`/`biases_raw` SoA
-    /// mirrors. [`restore`](Self::restore) rebuilds every derived
+    /// quantized breakpoints, and the `slopes_raw`/`biases_raw` pair
+    /// words. [`restore`](Self::restore) rebuilds every derived
     /// structure from these words, so a daemon restart skips refitting
     /// and still serves bit-identical results.
     ///
@@ -887,8 +887,10 @@ impl ServingConfig {
 ///
 /// With a policy armed, every shard worker re-evaluates a small *canary
 /// slice* of each lookup batch through the architectural scalar path
-/// ([`QuantizedPwl::eval`]) and compares it against the SoA batch
-/// kernel's words. A mismatch — or any panic caught inside the worker's
+/// ([`QuantizedPwl::eval`]: comparator address, pair, fused MAC) and
+/// compares it against the words the batch kernel gathered from the
+/// materialized output table — two different implementations of the
+/// same datapath. A mismatch — or any panic caught inside the worker's
 /// unwind boundary — is treated as **shard failure**: the shard is
 /// quarantined (feed ring closed, worker retired) and its in-flight
 /// work units are requeued to the surviving shards, so the slate still
@@ -1725,7 +1727,7 @@ impl Worker {
                     ledger.batches += 1;
                     ledger.queries += pb.len() as u64;
                     ledger.latency += plan.lookups * self.unit.latency_cycles();
-                    ledger.padded += (pb.inputs.capacity() - pb.len()) as u64;
+                    ledger.padded += (pb.inputs.len() - pb.len()) as u64;
                     self.scatter(pb);
                     continue;
                 }
@@ -3026,6 +3028,20 @@ mod tests {
                 && dbg.contains("in_flight"),
             "{dbg}"
         );
+    }
+
+    #[test]
+    fn cache_and_builder_debug_print_table_sizes_not_contents() {
+        // A failing assert_eq! on a cache, or on a builder holding one,
+        // must not flood the log with each table's derived output words.
+        let cache = TableCache::new();
+        cache.get_or_fit(gelu_key()).unwrap();
+        cache.get_or_fit(exp_key()).unwrap();
+        let builder = ServingEngine::builder(ApproximatorKind::NovaNoc).cache(&cache);
+        for dbg in [format!("{cache:?}"), format!("{builder:?}")] {
+            assert!(dbg.len() < 16 * 1024, "{} bytes", dbg.len());
+            assert_eq!(dbg.matches("output_entries").count(), 2, "{dbg}");
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl LutBank {
 
     /// Accounts for `reads` entry reads served in bulk — the batch fast
     /// path's accounting twin of calling [`read`](Self::read) that many
-    /// times. The data itself comes from the table's SoA kernel (which
+    /// times. The data itself comes from the table's batch kernel (which
     /// this bank mirrors bit-for-bit by construction and re-programming),
     /// so only the activity counter needs to move.
     pub fn record_reads(&mut self, reads: u64) {

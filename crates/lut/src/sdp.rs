@@ -6,7 +6,7 @@
 //! with a deeper pipeline (3 stages: table read, interpolate, scale), so
 //! its latency is one cycle worse than the 2-cycle NN-LUT pipeline while
 //! results stay bit-identical to the quantized table. Data-wise it
-//! inherits [`PerCoreLut`]'s SoA batch fast path; only the cycle
+//! inherits [`PerCoreLut`]'s batch fast path; only the cycle
 //! accounting differs.
 
 use nova_approx::QuantizedPwl;

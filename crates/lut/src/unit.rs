@@ -89,8 +89,8 @@ impl PerNeuronLut {
     /// The zero-copy batch lookup: writes each neuron's approximated
     /// value into `out` in place. Validation (shape + one format pass) is
     /// hoisted out of the loop; the data itself runs through the table's
-    /// SoA batch kernel ([`QuantizedPwl::eval_to_slice_unchecked`]) in
-    /// one call — legal because every neuron's private bank mirrors
+    /// batch kernel ([`QuantizedPwl::eval_to_slice_unchecked`]) in one
+    /// call — legal because every neuron's private bank mirrors
     /// `self.table` bit-for-bit (they are loaded from it on construction
     /// and rewritten from it on [`reprogram`](Self::reprogram)), so the
     /// kernel's output is exactly what per-bank read + MAC would produce.
@@ -190,7 +190,7 @@ impl PerCoreLut {
     /// The zero-copy batch lookup through the shared multi-ported bank:
     /// writes results into `out` in place, with validation hoisted out of
     /// the loop. As with [`PerNeuronLut::lookup_into`], the data runs
-    /// through the table's SoA batch kernel — the shared bank mirrors
+    /// through the table's batch kernel — the shared bank mirrors
     /// `self.table` bit-for-bit by construction and re-programming — and
     /// the bank records one read per neuron (all on its many ports), as
     /// the per-element path did.

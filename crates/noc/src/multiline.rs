@@ -156,7 +156,7 @@ impl SegmentedNoc {
 
     /// [`run_flat`](Self::run_flat) through every segment's cycle-accurate
     /// flit-level reference ([`BroadcastSim::run_flat_reference`]) instead
-    /// of the analytic SoA fast path — the executable specification the
+    /// of the analytic fast path — the executable specification the
     /// fast path is tested against, and the baseline its speedup is
     /// benched against.
     ///

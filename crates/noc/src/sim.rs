@@ -178,8 +178,9 @@ impl BroadcastSim {
     ///   round trip is lossless for every ≤ 16-bit format (wider formats
     ///   cannot compile a schedule at all), so the pairs every router
     ///   latches are bit-identical to the table — and the whole grid can
-    ///   run through the table's SoA batch kernel
-    ///   ([`QuantizedPwl::eval_to_slice_unchecked`]) in one call.
+    ///   run through the table's batch kernel
+    ///   ([`QuantizedPwl::eval_to_slice_unchecked`], a clamp plus one
+    ///   output-table gather per word) in one call.
     /// - **Timing/activity.** The broadcast is data-independent (see
     ///   [`nominal_core_cycle_latency`](Self::nominal_core_cycle_latency)),
     ///   so every [`SimStats`] field and every router counter is a closed
@@ -201,7 +202,7 @@ impl BroadcastSim {
         outputs: &mut [Fixed],
     ) -> Result<SimStats, NocError> {
         self.validate_flat(inputs, outputs.len())?;
-        // Functional stage: one SoA kernel call over the whole grid.
+        // Functional stage: one batch-kernel call over the whole grid.
         self.table.eval_to_slice_unchecked(inputs, outputs);
 
         // Timing/activity stage. Each flit occupies the line for
