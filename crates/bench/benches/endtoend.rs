@@ -8,13 +8,15 @@ use nova_bench::{criterion_group, criterion_main};
 
 use nova::engine::{evaluate, ApproximatorKind};
 use nova::react_pipeline::ReactNovaPipeline;
-use nova::{LutVariant, LutVectorUnit, NovaVectorUnit, SegmentedNovaUnit, VectorUnit};
+use nova::{FixedBatch, LutVariant, LutVectorUnit, NovaVectorUnit, VectorUnit};
 use nova_accel::nvdla::{convolve, ConvShape, NvdlaCoreConfig};
 use nova_accel::systolic::{analytic_cycles, cycle_accurate, Dataflow, SystolicConfig};
 use nova_accel::AcceleratorConfig;
 use nova_approx::{fit, Activation, QuantizedPwl};
 use nova_fixed::rng::StdRng;
 use nova_fixed::{Fixed, Rounding, Q4_12};
+use nova_noc::multiline::SegmentedNoc;
+use nova_noc::sim::BroadcastSim;
 use nova_noc::LineConfig;
 use nova_workloads::attention::{EncoderLayer, ExactBackend, Matrix, PwlBackend};
 use nova_workloads::bert::{census, BertConfig, MatmulDims};
@@ -24,37 +26,38 @@ fn table() -> QuantizedPwl {
     QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap()
 }
 
-fn batch(routers: usize, neurons: usize) -> Vec<Vec<Fixed>> {
-    (0..routers)
-        .map(|r| {
-            (0..neurons)
-                .map(|n| {
-                    Fixed::from_f64(
-                        -(((r * neurons + n) as f64 * 0.7).sin().abs() * 7.0),
-                        Q4_12,
-                        Rounding::NearestEven,
-                    )
-                })
-                .collect()
-        })
-        .collect()
+/// A flat `routers × neurons` batch (slot `r * neurons + n`).
+fn batch(routers: usize, neurons: usize) -> FixedBatch {
+    let mut b = FixedBatch::new(routers, neurons, Fixed::zero(Q4_12));
+    for (i, x) in b.as_mut_slice().iter_mut().enumerate() {
+        *x = Fixed::from_f64(
+            -((i as f64 * 0.7).sin().abs() * 7.0),
+            Q4_12,
+            Rounding::NearestEven,
+        );
+    }
+    b
 }
 
 fn bench_vector_units(c: &mut Criterion) {
     let t = table();
     let mut g = c.benchmark_group("vector_unit_batch_10x256");
     let inputs = batch(10, 256);
+    let mut out = FixedBatch::empty();
     let mut nova = NovaVectorUnit::new(LineConfig::paper_default(10, 256), &t).unwrap();
     g.bench_function("nova_noc", |b| {
-        b.iter(|| nova.lookup_batch(black_box(&inputs)).unwrap())
+        b.iter(|| {
+            nova.lookup_batch_into(black_box(&inputs), &mut out)
+                .unwrap()
+        })
     });
     let mut pn = LutVectorUnit::new(&t, 10, 256, LutVariant::PerNeuron);
     g.bench_function("per_neuron_lut", |b| {
-        b.iter(|| pn.lookup_batch(black_box(&inputs)).unwrap())
+        b.iter(|| pn.lookup_batch_into(black_box(&inputs), &mut out).unwrap())
     });
     let mut pc = LutVectorUnit::new(&t, 10, 256, LutVariant::PerCore);
     g.bench_function("per_core_lut", |b| {
-        b.iter(|| pc.lookup_batch(black_box(&inputs)).unwrap())
+        b.iter(|| pc.lookup_batch_into(black_box(&inputs), &mut out).unwrap())
     });
     g.finish();
 }
@@ -107,14 +110,22 @@ fn bench_segmented(c: &mut Criterion) {
     let mut config = LineConfig::paper_default(8, 128);
     config.max_hops_per_cycle = 5; // TPU 2.8 GHz reach
     let inputs = batch(8, 128);
-    let mut plain = NovaVectorUnit::new(config, &t).unwrap();
-    let mut seg = SegmentedNovaUnit::new(config, &t).unwrap();
+    let mut out = vec![Fixed::zero(Q4_12); inputs.len()];
+    let mut plain = BroadcastSim::new(config, &t).unwrap();
+    let mut seg = SegmentedNoc::new(config, &t).unwrap();
     let mut g = c.benchmark_group("noc_beyond_reach_8x128");
     g.bench_function("plain_line", |b| {
-        b.iter(|| plain.lookup_batch(black_box(&inputs)).unwrap())
+        b.iter(|| {
+            plain
+                .run_flat(black_box(inputs.as_slice()), &mut out)
+                .unwrap()
+        })
     });
     g.bench_function("segmented", |b| {
-        b.iter(|| seg.lookup_batch(black_box(&inputs)).unwrap())
+        b.iter(|| {
+            seg.run_flat(black_box(inputs.as_slice()), &mut out)
+                .unwrap()
+        })
     });
     g.finish();
 }

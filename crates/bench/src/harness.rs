@@ -4,8 +4,9 @@
 //! The dependency policy excludes criterion, so this module provides the
 //! subset the workspace benches use — [`Criterion::bench_function`],
 //! [`Criterion::benchmark_group`], [`BenchmarkId::from_parameter`],
-//! [`black_box`], and the [`criterion_group!`]/[`criterion_main!`]
-//! macros — backed by a simple warmup + fixed-budget timing loop.
+//! [`black_box`], and the [`criterion_group!`](crate::criterion_group)/
+//! [`criterion_main!`](crate::criterion_main) macros — backed by a
+//! simple warmup + fixed-budget timing loop.
 //! Results print as `name … time/iter (iters)` lines.
 //!
 //! Budgets are intentionally small (50 ms per benchmark by default) so

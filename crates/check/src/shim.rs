@@ -10,7 +10,7 @@
 //! *names* these types or the std originals.
 //!
 //! Registration is lazy and per-execution: every instrumented value
-//! carries a [`Reg`] slot caching `(epoch, id)`; the first operation in
+//! carries a `Reg` slot caching `(epoch, id)`; the first operation in
 //! a new execution allocates a fresh model location seeded from the
 //! mirror's current value. Stores and RMWs write the model-computed
 //! value back to the mirror, so `get_mut`-style exclusive reads (and

@@ -15,7 +15,7 @@ use nova_approx::Activation;
 use nova_synth::{units, LutSharing, TechModel};
 use nova_workloads::bert::{census, BertConfig, OpCensus};
 
-use crate::serving::pack::pack;
+use crate::serving::pack::{pack, MAX_UNIT_BATCHES};
 use crate::timeline::table_switch_cycles;
 use crate::NovaError;
 
@@ -237,14 +237,14 @@ pub struct MultiStreamReport {
     /// Non-linear cycles with coalescing — the *serial* sum over all
     /// batches, independent of the worker count.
     pub nl_cycles: u64,
-    /// Per-worker accumulated non-linear cycles under round-robin batch
-    /// dispatch — the counters the aggregate view below is gathered
-    /// from. One entry per worker.
+    /// Per-worker accumulated non-linear cycles under the engine's
+    /// round-robin unit dispatch — the counters the aggregate view below
+    /// is gathered from. One entry per worker.
     pub worker_nl_cycles: Vec<u64>,
     /// Per-worker accumulated table-switch stall cycles under the same
-    /// round-robin dispatch: a worker switches whenever consecutive
-    /// batches it serves belong to different activation tables. All
-    /// zeros for the NOVA NoC.
+    /// dispatch: a worker switches whenever consecutive units it serves
+    /// belong to different activation tables. All zeros for the NOVA
+    /// NoC.
     pub worker_switch_cycles: Vec<u64>,
     /// Activation-table switches summed over the pool.
     pub table_switches: u64,
@@ -322,24 +322,21 @@ const PAPER_TABLE_ENTRIES: u64 = 16;
 /// streams) sharing `kind` on `config`: non-linear queries are coalesced
 /// across requests into full `(routers × neurons)` batches *within each
 /// activation's run* (runs in first-appearance order, exactly like the
-/// functional engine's admission stage), dealt one batch at a time
-/// round-robin over `workers` concurrent shard workers, matmuls
-/// serialize on the host fabric, and the report carries aggregate
-/// throughput (inferences/s, queries/s) plus batch occupancy — versus
-/// naive dispatch, where each request's batches run alone with their
-/// own padded tails on a single worker.
+/// functional engine's admission stage), matmuls serialize on the host
+/// fabric, and the report carries aggregate throughput (inferences/s,
+/// queries/s) plus batch occupancy — versus naive dispatch, where each
+/// request's batches run alone with their own padded tails on a single
+/// worker.
 ///
-/// The batch counts match the functional engine's, but the per-worker
-/// split is its `K = 1` case: the engine deals whole work units of up
-/// to `K` batches round-robin, so deep runs can split unevenly there.
-/// On the 32-batch GELU+exp scaling slate at 3 workers, the engine
-/// serves `[12, 12, 8]` batches per worker where this model deals
-/// `[11, 11, 10]`.
+/// Batches reach the `workers` concurrent shard workers exactly as the
+/// engine deals them: each run is laid out by the engine's packer into
+/// work units of `K` batches (its adaptive run length, at most
+/// `MAX_UNIT_BATCHES`), and units go round-robin by sequence number.
 ///
 /// Aggregate numbers are gathered from the per-worker cycle counters:
 /// the non-linear wall time is the pool's makespan (the busiest worker,
 /// **table-switch stalls included** — a worker switches whenever
-/// consecutive batches it serves belong to different activations, at
+/// consecutive units it serves belong to different activations, at
 /// [`crate::timeline::table_switch_cycles`] per switch: free for the
 /// NOVA NoC, a real bank rewrite for LUT/SDP hardware), so `workers = 1`
 /// with a single activation reproduces the serial accounting exactly.
@@ -360,8 +357,8 @@ const PAPER_TABLE_ENTRIES: u64 = 16;
 ///
 /// # Errors
 ///
-/// Returns [`NovaError::BatchShape`] for an empty request slate or
-/// `workers == 0`.
+/// Returns [`NovaError::BatchShape`] for an empty request slate, a
+/// zero-slot host grid or `workers == 0`.
 pub fn evaluate_multi_stream(
     tech: &TechModel,
     config: &AcceleratorConfig,
@@ -395,36 +392,47 @@ pub fn evaluate_multi_stream(
             }
         }
     }
-    let coalesced_batches: u64 = run_queries.iter().map(|q| q.div_ceil(capacity)).sum();
-    let naive_batches: u64 = requests
-        .iter()
-        .map(|(_, s)| s.approximator_queries().div_ceil(capacity))
-        .sum();
     let latency = kind.batch_latency_cycles();
-    let nl_cycles = coalesced_batches * latency;
-    // Deal the run-ordered batches round-robin, one batch at a time (the
-    // runtime's dispatch with one batch per unit), tracking which
-    // activation each worker has loaded (all pre-programmed with the
-    // first run's table), and gather the aggregate from the per-worker
-    // counters.
+    // Lay each run out with the engine's packer and deal its units
+    // round-robin by sequence number, tracking which activation each
+    // worker has loaded (all pre-programmed with the first run's
+    // table); the aggregate is gathered from the per-worker counters.
     let switch_stall = table_switch_cycles(kind, PAPER_TABLE_ENTRIES);
     let mut worker_nl_cycles = vec![0u64; workers];
     let mut worker_switch_cycles = vec![0u64; workers];
     let mut worker_current = vec![run_activations[0]; workers];
     let mut table_switches = 0u64;
-    let mut seq = 0u64;
-    for (run, &activation) in run_activations.iter().enumerate() {
-        for _ in 0..run_queries[run].div_ceil(capacity) {
-            let w = usize::try_from(seq % workers as u64).expect("workers fit usize");
+    let mut coalesced_batches = 0u64;
+    let mut spans = Vec::new();
+    let mut seq = 0usize;
+    for (&activation, &queries) in run_activations.iter().zip(&run_queries) {
+        let run = [(0, usize::try_from(queries).unwrap_or(usize::MAX))];
+        spans.clear();
+        let layout = pack(
+            run,
+            false,
+            config.total_neurons(),
+            workers,
+            MAX_UNIT_BATCHES,
+            &mut spans,
+        )?;
+        coalesced_batches += layout.batches as u64;
+        for batches in layout.units() {
+            let w = seq % workers;
+            seq += 1;
             if worker_current[w] != activation {
                 worker_current[w] = activation;
                 worker_switch_cycles[w] += switch_stall;
                 table_switches += 1;
             }
-            worker_nl_cycles[w] += latency;
-            seq += 1;
+            worker_nl_cycles[w] += batches as u64 * latency;
         }
     }
+    let naive_batches: u64 = requests
+        .iter()
+        .map(|(_, s)| s.approximator_queries().div_ceil(capacity))
+        .sum();
+    let nl_cycles = coalesced_batches * latency;
     let switch_cycles: u64 = worker_switch_cycles.iter().sum();
     let makespan_nl_cycles = worker_nl_cycles
         .iter()
@@ -570,12 +578,11 @@ nova_serde::impl_serde_struct!(FusedSoftmaxReport {
 /// rows pack row-aligned into `(routers × neurons)`-slot batches, every
 /// batch runs two lookup passes (softmax-exp, then reciprocal) with a
 /// table switch before each pass the worker's loaded table doesn't
-/// match, and batches are dealt one at a time round-robin over
-/// `workers` shards — the functional engine's dispatch with one batch
-/// per work unit (it deals whole units of up to `K` batches, so its
-/// per-worker split can differ; the batch count cannot). Workers boot
-/// with the exp table loaded (the plan's first lookup), so the first
-/// batch on each worker switches once and every later batch twice.
+/// match, and the engine's work units of `K` batches are dealt
+/// round-robin by sequence number over `workers` shards, exactly as the
+/// functional engine deals them. Workers boot with the exp table loaded
+/// (the plan's first lookup), so the first batch on each worker
+/// switches once and every later batch twice.
 ///
 /// This is the analytic twin of serving
 /// `nova_workloads::traffic::TrafficMix::fused_rows_slate` through a
@@ -604,7 +611,14 @@ pub fn evaluate_fused_softmax(
         .map(|&w| usize::try_from(w).unwrap_or(usize::MAX))
         .enumerate();
     let mut spans = Vec::new();
-    let layout = pack(widths, true, config.total_neurons(), workers, 1, &mut spans)?;
+    let layout = pack(
+        widths,
+        true,
+        config.total_neurons(),
+        workers,
+        MAX_UNIT_BATCHES,
+        &mut spans,
+    )?;
     let batches = layout.batches as u64;
     if batches == 0 {
         return Err(NovaError::BatchShape(
@@ -622,15 +636,16 @@ pub fn evaluate_fused_softmax(
     let mut worker_booted = vec![false; workers];
     let mut table_switches = 0u64;
     let mut switch_cycles = 0u64;
-    for seq in 0..batches {
-        let w = usize::try_from(seq % workers as u64).expect("workers fit usize");
-        // Boot batch: exp is preloaded, only the recip switch pays.
-        // Every later batch re-programs exp *and* recip.
-        let switches = if worker_booted[w] { 2 } else { 1 };
+    for (seq, unit) in layout.units().enumerate() {
+        let w = seq % workers;
+        let unit = unit as u64;
+        // Every batch re-programs exp *and* recip, except a worker's
+        // boot batch: exp is preloaded, only the recip switch pays.
+        let switches = 2 * unit - u64::from(!worker_booted[w]);
         worker_booted[w] = true;
         table_switches += switches;
         switch_cycles += switches * switch_stall;
-        worker_cycles[w] += 2 * latency + switches * switch_stall;
+        worker_cycles[w] += 2 * latency * unit + switches * switch_stall;
     }
     let makespan_nl_cycles = worker_cycles.iter().copied().max().unwrap_or(0);
     let freq_hz = config.frequency_mhz * 1e6;
@@ -868,6 +883,14 @@ mod tests {
             evaluate_multi_stream(&tech, &cfg, &slate, ApproximatorKind::NovaNoc, 0),
             Err(NovaError::BatchShape(_))
         ));
+        let no_slots = AcceleratorConfig {
+            neurons_per_router: 0,
+            ..cfg
+        };
+        assert!(matches!(
+            evaluate_multi_stream(&tech, &no_slots, &slate, ApproximatorKind::NovaNoc, 1),
+            Err(NovaError::BatchShape(_))
+        ));
     }
 
     #[test]
@@ -905,8 +928,7 @@ mod tests {
             assert_eq!(nova.switch_cycles, 0, "{workers} workers");
             assert_eq!(
                 nova.makespan_nl_cycles,
-                nova.coalesced_batches.div_ceil(workers as u64)
-                    * ApproximatorKind::NovaNoc.batch_latency_cycles(),
+                *nova.worker_nl_cycles.iter().max().unwrap(),
                 "NOVA's mixed-tenancy makespan is pure batch latency"
             );
             assert!(lut.switch_cycles > 0);
@@ -1012,6 +1034,103 @@ mod tests {
                     Err(NovaError::BatchShape(_))
                 ),
                 "{rows:?} x{workers}"
+            );
+        }
+    }
+
+    /// The analytic models deal work units exactly as the engine does:
+    /// a functional per-core LUT engine (whose switches stall, and whose
+    /// tables are registered in slate order, so its workers boot with the
+    /// models' first table) serves a mixed GELU+exp slate and a fused
+    /// softmax slate, and its per-worker counters and makespan match the
+    /// models' at every shard count.
+    #[test]
+    fn analytic_models_deal_units_like_the_engine() {
+        use crate::serving::{Plan, ServingEngine, ServingRequest, TableKey};
+        use nova_fixed::{Fixed, Rounding, Q4_12};
+        use nova_noc::LineConfig;
+
+        let kind = ApproximatorKind::PerCoreLut;
+        let (routers, neurons) = (2usize, 8usize);
+        let capacity = routers * neurons;
+        let host = AcceleratorConfig {
+            nova_routers: routers,
+            neurons_per_router: neurons,
+            ..AcceleratorConfig::tpu_v4_like()
+        };
+        let tech = TechModel::cmos22();
+        let x = Fixed::from_f64(0.5, Q4_12, Rounding::NearestEven);
+        // Ragged GELU and exp requests, interleaved: runs of 15 and 18
+        // batches, deep enough for K > 1 below 4 shards.
+        let mixed: Vec<(Activation, usize)> = (0..12)
+            .map(|i| {
+                let activation = if i % 2 == 0 {
+                    Activation::Gelu
+                } else {
+                    Activation::Exp
+                };
+                (activation, 5 + 7 * i)
+            })
+            .collect();
+        let slate: Vec<(Activation, OpCensus)> = mixed
+            .iter()
+            .map(|&(a, q)| {
+                let census = OpCensus {
+                    gelu_elements: q as u64,
+                    ..OpCensus::default()
+                };
+                (a, census)
+            })
+            .collect();
+        let requests: Vec<ServingRequest> = mixed
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, q))| ServingRequest::new(i, TableKey::paper(a), vec![x; q]))
+            .collect();
+        // Ragged attention rows, none wider than one batch.
+        let softmax = Plan::fused_softmax(Q4_12, Rounding::NearestEven);
+        let rows: Vec<usize> = (0..40).map(|r| 1 + (r * 5) % capacity).collect();
+        let fused: Vec<ServingRequest> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| ServingRequest::new(i, softmax.clone(), vec![x; w]))
+            .collect();
+        let widths: Vec<u64> = rows.iter().map(|&w| w as u64).collect();
+        for shards in [1usize, 2, 3, 4] {
+            let builder = || {
+                ServingEngine::builder(kind)
+                    .line(LineConfig::paper_default(routers, neurons))
+                    .shards(shards)
+            };
+            let model = evaluate_multi_stream(&tech, &host, &slate, kind, shards).unwrap();
+            let mut engine = builder()
+                .tables([Activation::Gelu, Activation::Exp].map(TableKey::paper))
+                .build()
+                .unwrap();
+            engine.serve(&requests).unwrap();
+            let loads = engine.worker_loads();
+            let cycles: Vec<u64> = loads.iter().map(|l| l.cycles).collect();
+            let switches: Vec<u64> = loads.iter().map(|l| l.switch_cycles).collect();
+            assert_eq!(cycles, model.worker_nl_cycles, "{shards} shard(s)");
+            assert_eq!(switches, model.worker_switch_cycles, "{shards} shard(s)");
+            assert_eq!(engine.makespan_cycles(), model.makespan_nl_cycles);
+            let stats = engine.stats();
+            assert_eq!(stats.batches, model.coalesced_batches);
+            assert_eq!(stats.table_switches, model.table_switches);
+
+            let model = evaluate_fused_softmax(&host, &widths, kind, shards).unwrap();
+            let mut engine = builder().plan(&softmax).build().unwrap();
+            engine.serve(&fused).unwrap();
+            let stats = engine.stats();
+            let label = format!("fused, {shards} shard(s)");
+            assert_eq!(stats.batches, model.batches, "{label}");
+            assert_eq!(stats.latency_cycles, model.nl_cycles, "{label}");
+            assert_eq!(stats.table_switches, model.table_switches, "{label}");
+            assert_eq!(stats.switch_cycles, model.switch_cycles, "{label}");
+            assert_eq!(
+                engine.makespan_cycles(),
+                model.makespan_nl_cycles,
+                "{label}"
             );
         }
     }

@@ -83,6 +83,5 @@ pub use serving::{
     WorkerLoad,
 };
 pub use vector_unit::{
-    ApproximatorKind, LutVariant, LutVectorUnit, NovaVectorUnit, SdpVectorUnit, SegmentedNovaUnit,
-    VectorUnit,
+    ApproximatorKind, LutVariant, LutVectorUnit, NovaVectorUnit, SdpVectorUnit, VectorUnit,
 };

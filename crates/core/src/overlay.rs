@@ -61,7 +61,9 @@ impl NovaOverlay {
     }
 
     /// Builds the functional NOVA vector unit for `table` (typed; the
-    /// NoC is what the overlay attaches).
+    /// NoC is what the overlay attaches). The line segments beyond the
+    /// SMART reach, exactly as [`unit`](Self::unit) with
+    /// [`ApproximatorKind::NovaNoc`] does.
     ///
     /// # Errors
     ///
@@ -150,7 +152,7 @@ impl NovaOverlay {
 mod tests {
     use super::*;
     use nova_approx::{fit, Activation};
-    use nova_fixed::{Fixed, Rounding, Q4_12};
+    use nova_fixed::{Fixed, FixedBatch, Rounding, Q4_12};
 
     fn tech() -> TechModel {
         TechModel::cmos22()
@@ -208,18 +210,15 @@ mod tests {
         let overlay = NovaOverlay::new(&AcceleratorConfig::jetson_xavier_nx());
         let t = table();
         let mut unit = overlay.vector_unit(&tech(), &t).unwrap();
-        let inputs: Vec<Vec<Fixed>> = (0..2)
-            .map(|r| {
-                (0..16)
-                    .map(|n| {
-                        Fixed::from_f64(-(r as f64) - n as f64 * 0.3, Q4_12, Rounding::NearestEven)
-                    })
-                    .collect()
-            })
-            .collect();
-        use crate::VectorUnit;
-        let out = unit.lookup_batch(&inputs).unwrap();
-        assert_eq!(out[1][5], t.eval(inputs[1][5]));
+        let mut inputs = FixedBatch::new(2, 16, Fixed::zero(Q4_12));
+        for r in 0..2 {
+            for (n, x) in inputs.row_mut(r).iter_mut().enumerate() {
+                *x = Fixed::from_f64(-(r as f64) - n as f64 * 0.3, Q4_12, Rounding::NearestEven);
+            }
+        }
+        let mut out = FixedBatch::empty();
+        unit.lookup_batch_into(&inputs, &mut out).unwrap();
+        assert_eq!(out.row(1)[5], t.eval(inputs.row(1)[5]));
     }
 
     #[test]

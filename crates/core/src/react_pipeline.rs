@@ -74,16 +74,14 @@ impl ReactNovaPipeline {
         let ws_before = self.core.stats().cycles;
         let sums = self.core.weighted_sums(inputs);
         let ws_cycles = self.core.stats().cycles - ws_before;
-        let outcome = self.nova.run(&[sums])?;
+        let mut activations = vec![Fixed::zero(self.table.format()); sums.len()];
+        let noc = self.nova.run_flat(&sums, &mut activations)?;
         let stats = PipelineStats {
             ws_cycles,
-            noc_cycles: outcome.stats.noc_cycles,
-            total_cycles: ws_cycles + outcome.stats.core_cycle_latency,
+            noc_cycles: noc.noc_cycles,
+            total_cycles: ws_cycles + noc.core_cycle_latency,
         };
-        Ok((
-            outcome.outputs.into_iter().next().expect("one router"),
-            stats,
-        ))
+        Ok((activations, stats))
     }
 
     /// The activation table in use.

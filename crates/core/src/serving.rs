@@ -239,7 +239,7 @@ use nova_synth::TechModel;
 
 pub use nova_noc::fault::{FaultInjector, InjectedFault};
 
-use self::pack::{pack, Span};
+use self::pack::{pack, Span, MAX_UNIT_BATCHES};
 use crate::spsc::{self, Doorbell, PushError};
 use crate::vector_unit::{build, line_for_kind, HostGeometry, VectorUnit};
 use crate::{ApproximatorKind, NovaError};
@@ -1443,13 +1443,6 @@ const WORKER_FEED_DEPTH: usize = 2;
 /// *non-blocking by invariant*, which is what lets shutdown close the
 /// feeds and join workers without first draining completions.
 const WORKER_DONE_DEPTH: usize = 4;
-
-/// Hard cap on batches per work unit. Admission adapts the run length
-/// `K` between 1 and this (see [`pack`]): fat units amortize ring hops
-/// and sequence bookkeeping under deep slates, while a shallow slate
-/// still dispatches one batch per unit so tail latency and shard spread
-/// are unhurt at low load.
-const MAX_UNIT_BATCHES: usize = 8;
 
 /// Leading lanes of each lookup batch an armed worker re-checks through
 /// the scalar architectural path (see [`FaultPolicy`]).

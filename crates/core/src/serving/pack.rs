@@ -3,9 +3,11 @@
 //!
 //! [`pack`] is the one place that decides the unit layout. Admission
 //! (`ServingEngine::submit`) fills its input grids and scatter map from
-//! the spans, and the analytic model
-//! ([`crate::engine::evaluate_fused_softmax`]) counts its batches from
-//! them, so the model and the runtime cannot drift apart.
+//! the spans, and the analytic models
+//! ([`crate::engine::evaluate_multi_stream`] and
+//! [`crate::engine::evaluate_fused_softmax`]) count their batches and
+//! deal their units from the same [`Layout`], so the models and the
+//! runtime cannot drift apart.
 //!
 //! The plan picks one of two packing rules:
 //!
@@ -52,6 +54,13 @@ impl Span {
     }
 }
 
+/// Hard cap on batches per work unit. [`pack`] adapts the run length
+/// `K` between 1 and this: fat units amortize ring hops and sequence
+/// bookkeeping under deep slates, while a shallow slate still
+/// dispatches one batch per unit so tail latency and shard spread are
+/// unhurt at low load.
+pub(crate) const MAX_UNIT_BATCHES: usize = 8;
+
 /// The unit layout [`pack`] chose for one plan group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Layout {
@@ -60,6 +69,16 @@ pub(crate) struct Layout {
     /// `K`: consecutive batches per work unit; only the group's last
     /// unit may carry fewer.
     pub(crate) unit_batches: usize,
+}
+
+impl Layout {
+    /// Batches per work unit, in dispatch order: `K` each, and whatever
+    /// is left in the group's last unit.
+    pub(crate) fn units(self) -> impl Iterator<Item = usize> {
+        (0..self.batches)
+            .step_by(self.unit_batches)
+            .map(move |start| (self.batches - start).min(self.unit_batches))
+    }
 }
 
 /// Packs one plan group into `capacity`-slot batches and picks its
@@ -362,7 +381,15 @@ mod tests {
                         .filter(|(_, r)| r.plan.is_fused() == fused)
                         .map(|(ri, r)| (ri, r.inputs.len()));
                     let mut spans = Vec::new();
-                    let layout = pack(members, fused, capacity, shards, 8, &mut spans).unwrap();
+                    let layout = pack(
+                        members,
+                        fused,
+                        capacity,
+                        shards,
+                        MAX_UNIT_BATCHES,
+                        &mut spans,
+                    )
+                    .unwrap();
                     batches += layout.batches;
                     units += layout.batches.div_ceil(layout.unit_batches);
                     if fused && layout.batches > 0 {

@@ -10,7 +10,7 @@ use nova_accel::config::AcceleratorConfig;
 use nova_approx::QuantizedPwl;
 use nova_fixed::{Fixed, FixedBatch};
 use nova_lut::{PerCoreLut, PerNeuronLut, SdpUnit};
-use nova_noc::{multiline::SegmentedNoc, sim::BroadcastSim, LineConfig, LinkConfig};
+use nova_noc::{multiline::SegmentedNoc, LineConfig, LinkConfig};
 use nova_synth::{timing, TechModel};
 
 use crate::timeline::table_switch_cycles;
@@ -166,26 +166,23 @@ pub fn line_for_kind(
 /// geometry — the workspace's one construction point for approximator
 /// hardware.
 ///
-/// The NOVA arm picks the plain line when the SMART reach covers it in
-/// one cycle and the segmented line otherwise, so callers get the
-/// paper's latency behavior without re-implementing that choice.
+/// The NOVA arm is a [`NovaVectorUnit`]: one segment when the SMART
+/// reach covers the line in one cycle, parallel segments beyond it, so
+/// callers get the paper's latency behavior without re-implementing
+/// that choice.
 ///
 /// # Errors
 ///
-/// Propagates NoC configuration/schedule errors.
+/// Returns [`NovaError::Noc`] for a line with zero routers, neurons or
+/// reach (for every kind), and propagates NoC schedule errors.
 pub fn build(
     kind: ApproximatorKind,
     config: LineConfig,
     table: &QuantizedPwl,
 ) -> Result<Box<dyn VectorUnit>, NovaError> {
+    config.validate()?;
     Ok(match kind {
-        ApproximatorKind::NovaNoc => {
-            if config.max_hops_per_cycle >= config.routers {
-                Box::new(NovaVectorUnit::new(config, table)?)
-            } else {
-                Box::new(SegmentedNovaUnit::new(config, table)?)
-            }
-        }
+        ApproximatorKind::NovaNoc => Box::new(NovaVectorUnit::new(config, table)?),
         ApproximatorKind::PerNeuronLut => Box::new(LutVectorUnit::new(
             table,
             config.routers,
@@ -230,45 +227,10 @@ pub fn build_for_host(
     build(kind, line, table)
 }
 
-/// Validates a `(routers × neurons)` batch: the row count and every
-/// row's width must match the unit's grid. Shared by all [`VectorUnit`]
-/// implementations so malformed batches — including ragged ones, where
-/// one row is narrower than `neurons_per_router` — are rejected with a
-/// uniform [`NovaError::BatchShape`] before any lookup runs or counter
-/// advances.
-///
-/// # Errors
-///
-/// Returns [`NovaError::BatchShape`] naming the offending dimension.
-pub fn validate_batch_shape(
-    inputs: &[Vec<Fixed>],
-    routers: usize,
-    neurons: usize,
-) -> Result<(), NovaError> {
-    if inputs.len() != routers {
-        return Err(NovaError::BatchShape(format!(
-            "{} rows for {routers} cores",
-            inputs.len()
-        )));
-    }
-    if let Some((r, row)) = inputs
-        .iter()
-        .enumerate()
-        .find(|(_, row)| row.len() != neurons)
-    {
-        return Err(NovaError::BatchShape(format!(
-            "row {r} has {} values for {neurons} neurons per core",
-            row.len()
-        )));
-    }
-    Ok(())
-}
-
 /// Validates a flat [`FixedBatch`] against a unit's `(routers × neurons)`
-/// grid — the flat-path twin of [`validate_batch_shape`], shared by all
-/// [`VectorUnit`] implementations so malformed batches are rejected with
-/// a uniform [`NovaError::BatchShape`] before any lookup runs or counter
-/// advances.
+/// grid, shared by all [`VectorUnit`] implementations so malformed
+/// batches are rejected with a uniform [`NovaError::BatchShape`] before
+/// any lookup runs or counter advances.
 ///
 /// # Errors
 ///
@@ -290,12 +252,13 @@ pub fn validate_flat_shape(
 /// A batch-lookup vector unit: the functional contract shared by NOVA and
 /// the LUT baselines.
 ///
-/// The primitive operation is the *flat* path
+/// The one batch operation is
 /// [`lookup_batch_into`](Self::lookup_batch_into): one contiguous
 /// [`FixedBatch`] in, results written into a caller-recycled
 /// [`FixedBatch`] out, with no allocation on the steady-state path. The
-/// nested [`lookup_batch`](Self::lookup_batch) survives as a provided
-/// compatibility shim that round-trips through flat buffers.
+/// NOVA implementation splits its line into parallel segments when the
+/// SMART reach does not cover it, so every host gets the paper's
+/// single-cycle broadcast.
 ///
 /// The trait is `Send` so a `Box<dyn VectorUnit>` can be moved into a
 /// worker thread — the serving runtime gives each shard worker its own
@@ -322,27 +285,6 @@ pub trait VectorUnit: Send {
         inputs: &FixedBatch,
         out: &mut FixedBatch,
     ) -> Result<(), NovaError>;
-
-    /// Evaluates one nested batch: `inputs[r][n]` → approximated outputs
-    /// with the same shape. Compatibility shim over
-    /// [`lookup_batch_into`](Self::lookup_batch_into) — it pays a
-    /// flatten/reshape round trip, so hot loops should hold
-    /// [`FixedBatch`] buffers instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NovaError::BatchShape`] for ragged or mis-shaped
-    /// batches; propagates unit errors otherwise.
-    fn lookup_batch(&mut self, inputs: &[Vec<Fixed>]) -> Result<Vec<Vec<Fixed>>, NovaError> {
-        // Raggedness has no flat representation; reject it here with the
-        // same error the nested validators used, before any counter moves.
-        let neurons = inputs.first().map_or(0, Vec::len);
-        validate_batch_shape(inputs, inputs.len(), neurons)?;
-        let flat = FixedBatch::from_rows(inputs).expect("raggedness rejected above");
-        let mut out = FixedBatch::empty();
-        self.lookup_batch_into(&flat, &mut out)?;
-        Ok(out.to_rows())
-    }
 
     /// Re-programs the unit to serve `table`, returning the stall the
     /// switch costs in accelerator cycles —
@@ -371,106 +313,31 @@ pub trait VectorUnit: Send {
     fn lookups(&self) -> u64;
 }
 
-/// The NOVA NoC as a vector unit (wraps the cycle-accurate simulator).
+/// The NOVA NoC as a vector unit: the cycle-accurate line simulator,
+/// split into the fewest parallel segments that each fit the
+/// single-cycle SMART reach. A line within reach is one segment, which
+/// is exactly the plain line; beyond reach (e.g. 8 TPU MXUs at a
+/// 2.8 GHz NoC clock with a 5-router reach) the segments keep the
+/// broadcast single-cycle.
 #[derive(Debug, Clone)]
 pub struct NovaVectorUnit {
-    sim: BroadcastSim,
-    last_latency: u64,
-    lookups: u64,
-}
-
-impl NovaVectorUnit {
-    /// Builds the unit for a line geometry and table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates NoC configuration/schedule errors.
-    pub fn new(config: LineConfig, table: &QuantizedPwl) -> Result<Self, NovaError> {
-        let sim = BroadcastSim::new(config, table)?;
-        // Seed the latency with the schedule's nominal per-batch value so
-        // callers that query before the first batch don't read a stale 0.
-        let last_latency = sim.nominal_core_cycle_latency();
-        Ok(Self {
-            sim,
-            last_latency,
-            lookups: 0,
-        })
-    }
-
-    /// The underlying simulator (for stats inspection).
-    #[must_use]
-    pub fn sim(&self) -> &BroadcastSim {
-        &self.sim
-    }
-}
-
-impl VectorUnit for NovaVectorUnit {
-    fn name(&self) -> &str {
-        "NOVA NoC"
-    }
-
-    fn lookup_batch_into(
-        &mut self,
-        inputs: &FixedBatch,
-        out: &mut FixedBatch,
-    ) -> Result<(), NovaError> {
-        let config = self.sim.config();
-        validate_flat_shape(inputs, config.routers, config.neurons_per_router)?;
-        out.reset(
-            config.routers,
-            config.neurons_per_router,
-            Fixed::zero(self.sim.table().format()),
-        );
-        let stats = self.sim.run_flat(inputs.as_slice(), out.as_mut_slice())?;
-        self.last_latency = stats.core_cycle_latency;
-        self.lookups += inputs.len() as u64;
-        Ok(())
-    }
-
-    fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError> {
-        // The table lives on the wire: re-programming compiles the new
-        // broadcast schedule and re-points the line at the shared table.
-        // `set_table` compiles before it changes anything, so a refused
-        // switch leaves the old table active.
-        self.sim.set_table(table)?;
-        self.last_latency = self.sim.nominal_core_cycle_latency();
-        Ok(table_switch_cycles(
-            ApproximatorKind::NovaNoc,
-            table.segments() as u64,
-        ))
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        self.last_latency
-    }
-
-    fn lookups(&self) -> u64 {
-        self.lookups
-    }
-}
-
-/// The segmented NOVA NoC as a vector unit: parallel line segments keep
-/// the broadcast single-cycle when the host has more routers than the
-/// SMART reach covers (e.g. 8 TPU MXUs at a 2.8 GHz NoC clock with a
-/// 5-router reach).
-#[derive(Debug, Clone)]
-pub struct SegmentedNovaUnit {
     noc: SegmentedNoc,
     last_latency: u64,
     lookups: u64,
 }
 
-impl SegmentedNovaUnit {
-    /// Builds the unit, splitting `config.routers` into the fewest
-    /// segments that each fit the single-cycle reach.
+impl NovaVectorUnit {
+    /// Builds the unit for a line geometry and table, split into the
+    /// fewest segments that each fit `config.max_hops_per_cycle` (one
+    /// when the reach covers the line).
     ///
     /// # Errors
     ///
     /// Propagates NoC configuration/schedule errors.
     pub fn new(config: LineConfig, table: &QuantizedPwl) -> Result<Self, NovaError> {
         let noc = SegmentedNoc::new(config, table)?;
-        // As for the plain line: report the nominal schedule latency
-        // until a batch supplies a measured value.
+        // Seed the latency with the schedule's nominal per-batch value so
+        // callers that query before the first batch don't read a stale 0.
         let last_latency = noc.nominal_core_cycle_latency();
         Ok(Self {
             noc,
@@ -478,17 +345,11 @@ impl SegmentedNovaUnit {
             lookups: 0,
         })
     }
-
-    /// Number of parallel line segments.
-    #[must_use]
-    pub fn segments(&self) -> usize {
-        self.noc.segment_count()
-    }
 }
 
-impl VectorUnit for SegmentedNovaUnit {
+impl VectorUnit for NovaVectorUnit {
     fn name(&self) -> &str {
-        "NOVA NoC (segmented)"
+        "NOVA NoC"
     }
 
     fn lookup_batch_into(
@@ -510,7 +371,10 @@ impl VectorUnit for SegmentedNovaUnit {
     }
 
     fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError> {
-        // As for the plain line, on every segment at once.
+        // The table lives on the wire: re-programming compiles the new
+        // broadcast schedule and re-points every segment at the shared
+        // table. `set_table` compiles before it changes anything, so a
+        // refused switch leaves the old table active.
         self.noc.set_table(table)?;
         self.last_latency = self.noc.nominal_core_cycle_latency();
         Ok(table_switch_cycles(
@@ -731,8 +595,10 @@ impl VectorUnit for SdpVectorUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::{ServingEngine, TableKey};
     use nova_approx::{fit, Activation};
     use nova_fixed::{Rounding, Q4_12};
+    use nova_noc::sim::BroadcastSim;
 
     fn table() -> QuantizedPwl {
         let pwl =
@@ -740,20 +606,25 @@ mod tests {
         QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap()
     }
 
-    fn batch(routers: usize, neurons: usize) -> Vec<Vec<Fixed>> {
-        (0..routers)
-            .map(|r| {
-                (0..neurons)
-                    .map(|n| {
-                        Fixed::from_f64(
-                            ((r * neurons + n) as f64 * 0.37).sin() * 5.0,
-                            Q4_12,
-                            Rounding::NearestEven,
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
+    /// A flat `routers × neurons` batch (slot `r * neurons + n`).
+    fn batch(routers: usize, neurons: usize) -> FixedBatch {
+        let mut b = FixedBatch::new(routers, neurons, Fixed::zero(Q4_12));
+        for (i, x) in b.as_mut_slice().iter_mut().enumerate() {
+            *x = Fixed::from_f64((i as f64 * 0.37).sin() * 5.0, Q4_12, Rounding::NearestEven);
+        }
+        b
+    }
+
+    /// Runs one batch into a fresh output buffer.
+    fn lookup(unit: &mut dyn VectorUnit, inputs: &FixedBatch) -> Result<FixedBatch, NovaError> {
+        let mut out = FixedBatch::empty();
+        unit.lookup_batch_into(inputs, &mut out)?;
+        Ok(out)
+    }
+
+    /// `table` over every word of `inputs`, through the scalar datapath.
+    fn expected(table: &QuantizedPwl, inputs: &FixedBatch) -> Vec<Fixed> {
+        inputs.as_slice().iter().map(|&x| table.eval(x)).collect()
     }
 
     #[test]
@@ -763,17 +634,13 @@ mod tests {
         let mut nova = NovaVectorUnit::new(LineConfig::paper_default(4, 16), &t).unwrap();
         let mut pn = LutVectorUnit::new(&t, 4, 16, LutVariant::PerNeuron);
         let mut pc = LutVectorUnit::new(&t, 4, 16, LutVariant::PerCore);
-        let a = nova.lookup_batch(&inputs).unwrap();
-        let b = pn.lookup_batch(&inputs).unwrap();
-        let c = pc.lookup_batch(&inputs).unwrap();
+        let a = lookup(&mut nova, &inputs).unwrap();
+        let b = lookup(&mut pn, &inputs).unwrap();
+        let c = lookup(&mut pc, &inputs).unwrap();
         assert_eq!(a, b);
         assert_eq!(b, c);
         // And all equal the table.
-        for (r, row) in inputs.iter().enumerate() {
-            for (n, &x) in row.iter().enumerate() {
-                assert_eq!(a[r][n], t.eval(x));
-            }
-        }
+        assert_eq!(a.as_slice(), expected(&t, &inputs));
     }
 
     #[test]
@@ -783,8 +650,8 @@ mod tests {
         let inputs = batch(10, 8);
         let mut nova = NovaVectorUnit::new(LineConfig::paper_default(10, 8), &t).unwrap();
         let mut pn = LutVectorUnit::new(&t, 10, 8, LutVariant::PerNeuron);
-        nova.lookup_batch(&inputs).unwrap();
-        pn.lookup_batch(&inputs).unwrap();
+        lookup(&mut nova, &inputs).unwrap();
+        lookup(&mut pn, &inputs).unwrap();
         assert_eq!(nova.latency_cycles(), pn.latency_cycles());
     }
 
@@ -792,8 +659,8 @@ mod tests {
     fn lookup_counters() {
         let t = table();
         let mut pc = LutVectorUnit::new(&t, 2, 8, LutVariant::PerCore);
-        pc.lookup_batch(&batch(2, 8)).unwrap();
-        pc.lookup_batch(&batch(2, 8)).unwrap();
+        lookup(&mut pc, &batch(2, 8)).unwrap();
+        lookup(&mut pc, &batch(2, 8)).unwrap();
         assert_eq!(pc.lookups(), 32);
     }
 
@@ -802,25 +669,32 @@ mod tests {
         let t = table();
         let mut pn = LutVectorUnit::new(&t, 3, 8, LutVariant::PerNeuron);
         assert!(matches!(
-            pn.lookup_batch(&batch(2, 8)),
+            lookup(&mut pn, &batch(2, 8)),
             Err(NovaError::BatchShape(_))
         ));
     }
 
     #[test]
     fn segmented_unit_restores_single_cycle_latency() {
+        // Beyond the reach the unit splits its line: bit-identical to
+        // the plain line, and back to the 2-cycle lookup + MAC latency.
         let t = table();
         let mut config = LineConfig::paper_default(8, 4);
         config.max_hops_per_cycle = 5; // TPU-like 2.8 GHz reach
         let inputs = batch(8, 4);
-        let mut plain = NovaVectorUnit::new(config, &t).unwrap();
-        let mut seg = SegmentedNovaUnit::new(config, &t).unwrap();
-        let a = plain.lookup_batch(&inputs).unwrap();
-        let b = seg.lookup_batch(&inputs).unwrap();
-        assert_eq!(a, b, "segmentation is functionally invisible");
-        assert_eq!(seg.segments(), 2);
-        assert!(seg.latency_cycles() < plain.latency_cycles());
-        assert_eq!(seg.latency_cycles(), 2);
+        let mut plain = BroadcastSim::new(config, &t).unwrap();
+        let mut plain_out = vec![Fixed::zero(Q4_12); inputs.len()];
+        let plain_stats = plain.run_flat(inputs.as_slice(), &mut plain_out).unwrap();
+        let mut unit = NovaVectorUnit::new(config, &t).unwrap();
+        let out = lookup(&mut unit, &inputs).unwrap();
+        assert_eq!(
+            out.as_slice(),
+            plain_out,
+            "segmentation is functionally invisible"
+        );
+        assert_eq!(unit.noc.segment_count(), 2);
+        assert!(unit.latency_cycles() < plain_stats.core_cycle_latency);
+        assert_eq!(unit.latency_cycles(), 2);
     }
 
     #[test]
@@ -828,14 +702,11 @@ mod tests {
         let t = table();
         let inputs = batch(3, 8);
         let config = LineConfig::paper_default(3, 8);
-        let expect: Vec<Vec<Fixed>> = inputs
-            .iter()
-            .map(|row| row.iter().map(|&x| t.eval(x)).collect())
-            .collect();
+        let expect = expected(&t, &inputs);
         for kind in ApproximatorKind::all() {
             let mut unit = build(kind, config, &t).unwrap();
             assert_eq!(
-                unit.lookup_batch(&inputs).unwrap(),
+                lookup(unit.as_mut(), &inputs).unwrap().as_slice(),
                 expect,
                 "{} diverges from the table",
                 unit.name()
@@ -846,13 +717,41 @@ mod tests {
 
     #[test]
     fn factory_segments_nova_beyond_reach() {
+        // A plain 8-router line at reach 5 needs 3 NoC cycles per flit
+        // pair (3 core cycles); the built unit segments and keeps 2.
         let t = table();
         let mut config = LineConfig::paper_default(8, 4);
         config.max_hops_per_cycle = 5;
         let mut unit = build(ApproximatorKind::NovaNoc, config, &t).unwrap();
-        unit.lookup_batch(&batch(8, 4)).unwrap();
-        assert_eq!(unit.name(), "NOVA NoC (segmented)");
+        lookup(unit.as_mut(), &batch(8, 4)).unwrap();
+        assert_eq!(unit.name(), "NOVA NoC");
         assert_eq!(unit.latency_cycles(), BATCH_LATENCY_CYCLES);
+    }
+
+    #[test]
+    fn zero_sized_lines_are_errors_for_every_kind() {
+        // A line with no routers or no neurons is a configuration error
+        // for every kind, through the unit factory and through the
+        // serving builder — never a panic.
+        let t = table();
+        for (routers, neurons) in [(0, 8), (3, 0)] {
+            let config = LineConfig::paper_default(routers, neurons);
+            for kind in ApproximatorKind::all() {
+                let label = format!("{} on {routers}×{neurons}", kind.label());
+                assert!(
+                    matches!(
+                        build(kind, config, &t),
+                        Err(NovaError::Noc(nova_noc::NocError::BadLineConfig(_)))
+                    ),
+                    "{label}"
+                );
+                let engine = ServingEngine::builder(kind)
+                    .line(config)
+                    .table(TableKey::paper(Activation::Gelu))
+                    .build();
+                assert!(engine.is_err(), "{label}: the serving builder accepted it");
+            }
+        }
     }
 
     #[test]
@@ -861,14 +760,11 @@ mod tests {
         let cfg = AcceleratorConfig::jetson_xavier_nx();
         let tech = TechModel::cmos22();
         let inputs = batch(cfg.nova_routers, cfg.neurons_per_router);
+        let expect = expected(&t, &inputs);
         for kind in ApproximatorKind::all() {
             let mut unit = build_for_host(kind, &tech, &cfg, &t).unwrap();
-            let out = unit.lookup_batch(&inputs).unwrap();
-            for (row_out, row_in) in out.iter().zip(&inputs) {
-                for (&o, &x) in row_out.iter().zip(row_in) {
-                    assert_eq!(o, t.eval(x), "{}", kind.label());
-                }
-            }
+            let out = lookup(unit.as_mut(), &inputs).unwrap();
+            assert_eq!(out.as_slice(), expect, "{}", kind.label());
         }
     }
 
@@ -881,7 +777,7 @@ mod tests {
             &t,
         )
         .unwrap();
-        unit.lookup_batch(&batch(2, 8)).unwrap();
+        lookup(unit.as_mut(), &batch(2, 8)).unwrap();
         // Read, interpolate, scale: one stage deeper than NN-LUT/NOVA.
         assert_eq!(unit.latency_cycles(), 3);
         assert!(unit.latency_cycles() > BATCH_LATENCY_CYCLES);
@@ -897,6 +793,7 @@ mod tests {
         let t = QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap();
         let cfg = AcceleratorConfig::react();
         let tech = TechModel::cmos22();
+        let inputs = batch(cfg.nova_routers, cfg.neurons_per_router);
         for kind in [
             ApproximatorKind::PerNeuronLut,
             ApproximatorKind::PerCoreLut,
@@ -904,9 +801,8 @@ mod tests {
         ] {
             let mut unit = build_for_host(kind, &tech, &cfg, &t)
                 .unwrap_or_else(|e| panic!("{} must build: {e}", kind.label()));
-            let inputs = batch(cfg.nova_routers, cfg.neurons_per_router);
-            let out = unit.lookup_batch(&inputs).unwrap();
-            assert_eq!(out[0][0], t.eval(inputs[0][0]));
+            let out = lookup(unit.as_mut(), &inputs).unwrap();
+            assert_eq!(out.as_slice(), expected(&t, &inputs), "{}", kind.label());
         }
         assert!(
             build_for_host(ApproximatorKind::NovaNoc, &tech, &cfg, &t).is_err(),
@@ -919,40 +815,44 @@ mod tests {
         // Regression: `latency_cycles()` used to return a stale 0 until
         // the first batch ran. It must report the schedule's nominal
         // per-batch latency from construction, and that nominal value
-        // must agree with the measured one.
+        // must agree with the measured one — on one segment and on
+        // several.
         let t = table();
-        let mut plain = NovaVectorUnit::new(LineConfig::paper_default(4, 16), &t).unwrap();
-        let before = plain.latency_cycles();
-        assert!(
-            before > 0,
-            "nominal latency must be reported before any batch"
-        );
-        plain.lookup_batch(&batch(4, 16)).unwrap();
-        assert_eq!(before, plain.latency_cycles());
-
-        let mut config = LineConfig::paper_default(8, 4);
-        config.max_hops_per_cycle = 5;
-        let mut seg = SegmentedNovaUnit::new(config, &t).unwrap();
-        let before = seg.latency_cycles();
-        assert!(before > 0);
-        seg.lookup_batch(&batch(8, 4)).unwrap();
-        assert_eq!(before, seg.latency_cycles());
+        let beyond_reach = LineConfig {
+            max_hops_per_cycle: 5,
+            ..LineConfig::paper_default(8, 4)
+        };
+        for (config, segments) in [(LineConfig::paper_default(4, 16), 1), (beyond_reach, 2)] {
+            let mut unit = NovaVectorUnit::new(config, &t).unwrap();
+            assert_eq!(unit.noc.segment_count(), segments);
+            let before = unit.latency_cycles();
+            assert!(
+                before > 0,
+                "nominal latency must be reported before any batch"
+            );
+            lookup(&mut unit, &batch(config.routers, config.neurons_per_router)).unwrap();
+            assert_eq!(before, unit.latency_cycles(), "{segments} segment(s)");
+        }
     }
 
     #[test]
     fn ragged_batches_rejected_uniformly() {
-        // A batch with the right row count but one under-width row must
-        // be rejected with `NovaError::BatchShape` by every unit, before
-        // any lookup is counted.
+        // A batch with the unit's slot count but the wrong row width —
+        // what a ragged grid becomes once flattened — must be rejected
+        // with `NovaError::BatchShape` by every unit, before any lookup
+        // is counted.
         let t = table();
         let config = LineConfig::paper_default(3, 8);
-        let mut ragged = batch(3, 8);
-        ragged[1].pop();
+        let misshapen = batch(4, 6);
+        assert_eq!(misshapen.len(), config.total_neurons());
         for kind in ApproximatorKind::all() {
             let mut unit = build(kind, config, &t).unwrap();
             assert!(
-                matches!(unit.lookup_batch(&ragged), Err(NovaError::BatchShape(_))),
-                "{} accepted a ragged batch",
+                matches!(
+                    lookup(unit.as_mut(), &misshapen),
+                    Err(NovaError::BatchShape(_))
+                ),
+                "{} accepted a mis-shaped batch",
                 unit.name()
             );
             assert_eq!(
@@ -965,27 +865,26 @@ mod tests {
     }
 
     #[test]
-    fn flat_path_bit_identical_to_nested_for_every_kind() {
-        // The tentpole contract: `lookup_batch_into` over one contiguous
-        // buffer produces exactly the words the legacy nested path (and
-        // the table) produce, for every approximator kind.
+    fn flat_path_bit_identical_to_scalar_eval_for_every_kind() {
+        // `lookup_batch_into` over one contiguous buffer produces exactly
+        // the words the scalar datapath (`QuantizedPwl::eval`) produces,
+        // for every approximator kind. One output buffer is shared across
+        // kinds and batches, and consecutive batches differ, so recycling
+        // must never leak a previous batch's words.
         let t = table();
-        let inputs = batch(4, 16);
-        let flat = FixedBatch::from_rows(&inputs).unwrap();
+        let forward = batch(4, 16);
+        let mut reversed = forward.clone();
+        reversed.as_mut_slice().reverse();
         let config = LineConfig::paper_default(4, 16);
+        let mut out = FixedBatch::empty();
         for kind in ApproximatorKind::all() {
-            let mut nested_unit = build(kind, config, &t).unwrap();
-            let mut flat_unit = build(kind, config, &t).unwrap();
-            let nested = nested_unit.lookup_batch(&inputs).unwrap();
-            let mut out = FixedBatch::empty();
-            flat_unit.lookup_batch_into(&flat, &mut out).unwrap();
-            assert_eq!(out.to_rows(), nested, "{}", kind.label());
-            assert_eq!(flat_unit.lookups(), 64, "{}", kind.label());
-            for (r, row) in inputs.iter().enumerate() {
-                for (n, &x) in row.iter().enumerate() {
-                    assert_eq!(out.row(r)[n], t.eval(x), "{}", kind.label());
-                }
+            let mut unit = build(kind, config, &t).unwrap();
+            for inputs in [&forward, &reversed] {
+                unit.lookup_batch_into(inputs, &mut out).unwrap();
+                assert_eq!(out.dims(), (4, 16), "{}", kind.label());
+                assert_eq!(out.as_slice(), expected(&t, inputs), "{}", kind.label());
             }
+            assert_eq!(unit.lookups(), 128, "{}", kind.label());
         }
     }
 
@@ -996,7 +895,7 @@ mod tests {
         let t = table();
         for kind in ApproximatorKind::all() {
             let mut unit = build(kind, LineConfig::paper_default(3, 8), &t).unwrap();
-            let flat = FixedBatch::from_rows(&batch(3, 8)).unwrap();
+            let flat = batch(3, 8);
             let mut out = FixedBatch::empty();
             unit.lookup_batch_into(&flat, &mut out).unwrap();
             let cap = out.capacity();
@@ -1010,7 +909,7 @@ mod tests {
     #[test]
     fn flat_shape_mismatch_rejected_before_counters_move() {
         let t = table();
-        let wrong = FixedBatch::from_rows(&batch(2, 8)).unwrap();
+        let wrong = batch(2, 8);
         for kind in ApproximatorKind::all() {
             let mut unit = build(kind, LineConfig::paper_default(3, 8), &t).unwrap();
             let mut out = FixedBatch::empty();
@@ -1041,7 +940,7 @@ mod tests {
         let config = LineConfig::paper_default(3, 8);
         for kind in ApproximatorKind::all() {
             let mut unit = build(kind, config, &gelu).unwrap();
-            unit.lookup_batch(&inputs).unwrap();
+            lookup(unit.as_mut(), &inputs).unwrap();
             let lookups_before = unit.lookups();
             let cost = unit.switch_table(&exp).unwrap();
             assert_eq!(
@@ -1051,12 +950,13 @@ mod tests {
                 kind.label()
             );
             assert_eq!(unit.lookups(), lookups_before, "{}", kind.label());
-            let out = unit.lookup_batch(&inputs).unwrap();
-            for (row_out, row_in) in out.iter().zip(&inputs) {
-                for (&o, &x) in row_out.iter().zip(row_in) {
-                    assert_eq!(o, exp.eval(x), "{} serves the old table", kind.label());
-                }
-            }
+            let out = lookup(unit.as_mut(), &inputs).unwrap();
+            assert_eq!(
+                out.as_slice(),
+                expected(&exp, &inputs),
+                "{} serves the old table",
+                kind.label()
+            );
         }
         // The cost asymmetry the serving stats surface: free on NOVA,
         // linear on LUTs, heaviest on the SDP.
@@ -1072,77 +972,56 @@ mod tests {
     fn failed_switch_keeps_the_old_table_active() {
         // A 32-segment table needs more flits than the paper link's tag
         // space addresses: the NOVA NoC must refuse the switch and keep
-        // serving the old table — on a plain line and on every segment of
-        // a segmented one, through the fast path and through the
-        // flit-level reference, which reads the router comparators.
+        // serving the old table — on one segment and on every segment of
+        // a split line, through the fast path and through the flit-level
+        // reference, which reads the router comparators.
         let gelu = table();
         let big_pwl =
             fit::fit_activation(Activation::Gelu, 32, fit::BreakpointStrategy::Uniform).unwrap();
         let big = QuantizedPwl::from_pwl(&big_pwl, Q4_12, Rounding::NearestEven).unwrap();
-        let gelu_batch = |config: LineConfig| {
-            let rows = batch(config.routers, config.neurons_per_router);
-            let inputs = FixedBatch::from_rows(&rows).unwrap();
-            let expect: Vec<Fixed> = inputs.as_slice().iter().map(|&x| gelu.eval(x)).collect();
-            let blank = vec![Fixed::zero(Q4_12); expect.len()];
-            (inputs, expect, blank)
-        };
-        let mut out = FixedBatch::empty();
-
-        let plain_config = LineConfig::paper_default(2, 4);
-        let mut plain = NovaVectorUnit::new(plain_config, &gelu).unwrap();
-        let latency = plain.latency_cycles();
-        assert!(plain.switch_table(&big).is_err());
-        assert_eq!(plain.latency_cycles(), latency);
-        let (inputs, expect, mut ref_out) = gelu_batch(plain_config);
-        plain.lookup_batch_into(&inputs, &mut out).unwrap();
-        assert_eq!(out.as_slice(), expect, "plain line, fast path");
-        plain
-            .sim
-            .run_flat_reference(inputs.as_slice(), &mut ref_out)
-            .unwrap();
-        assert_eq!(ref_out, expect, "plain line, reference path");
-
-        let seg_config = LineConfig {
+        let beyond_reach = LineConfig {
             max_hops_per_cycle: 5,
             ..LineConfig::paper_default(12, 16)
         };
-        let mut seg = SegmentedNovaUnit::new(seg_config, &gelu).unwrap();
-        assert_eq!(seg.segments(), 3);
-        let latency = seg.latency_cycles();
-        assert!(seg.switch_table(&big).is_err());
-        assert_eq!(seg.latency_cycles(), latency);
-        let (inputs, expect, mut ref_out) = gelu_batch(seg_config);
-        seg.lookup_batch_into(&inputs, &mut out).unwrap();
-        assert_eq!(out.as_slice(), expect, "segmented line, fast path");
-        seg.noc
-            .run_flat_reference(inputs.as_slice(), &mut ref_out)
-            .unwrap();
-        assert_eq!(ref_out, expect, "segmented line, reference path");
+        let mut out = FixedBatch::empty();
+        for (config, segments) in [(LineConfig::paper_default(2, 4), 1), (beyond_reach, 3)] {
+            let mut unit = NovaVectorUnit::new(config, &gelu).unwrap();
+            assert_eq!(unit.noc.segment_count(), segments);
+            let latency = unit.latency_cycles();
+            assert!(unit.switch_table(&big).is_err());
+            assert_eq!(unit.latency_cycles(), latency);
+            let inputs = batch(config.routers, config.neurons_per_router);
+            let expect = expected(&gelu, &inputs);
+            unit.lookup_batch_into(&inputs, &mut out).unwrap();
+            assert_eq!(out.as_slice(), expect, "{segments} segment(s), fast path");
+            let mut ref_out = vec![Fixed::zero(Q4_12); expect.len()];
+            unit.noc
+                .run_flat_reference(inputs.as_slice(), &mut ref_out)
+                .unwrap();
+            assert_eq!(ref_out, expect, "{segments} segment(s), reference path");
+        }
     }
 
     #[test]
     fn nova_switch_shares_the_table_on_every_segment() {
         // Re-programming a NOVA unit is a pointer copy: after
-        // `switch_table(&t)` the line's table reads `t`'s own storage, on
-        // the plain line and on every segment of a segmented one.
+        // `switch_table(&t)` every segment's table reads `t`'s own
+        // storage, on one segment and on a split line.
         let exp_pwl =
             fit::fit_activation(Activation::Exp, 16, fit::BreakpointStrategy::Uniform).unwrap();
         let exp = QuantizedPwl::from_pwl(&exp_pwl, Q4_12, Rounding::NearestEven).unwrap();
         let shares = |t: &QuantizedPwl| t.slopes_raw().as_ptr() == exp.slopes_raw().as_ptr();
-
-        let mut plain = NovaVectorUnit::new(LineConfig::paper_default(4, 16), &table()).unwrap();
-        plain.switch_table(&exp).unwrap();
-        assert!(shares(plain.sim().table()));
-
-        let config = LineConfig {
+        let beyond_reach = LineConfig {
             max_hops_per_cycle: 5,
             ..LineConfig::paper_default(12, 16)
         };
-        let mut seg = SegmentedNovaUnit::new(config, &table()).unwrap();
-        seg.switch_table(&exp).unwrap();
-        assert_eq!(seg.noc.segments().len(), 3);
-        for (i, line) in seg.noc.segments().iter().enumerate() {
-            assert!(shares(line.table()), "segment {i} copied the table");
+        for (config, segments) in [(LineConfig::paper_default(4, 16), 1), (beyond_reach, 3)] {
+            let mut unit = NovaVectorUnit::new(config, &table()).unwrap();
+            unit.switch_table(&exp).unwrap();
+            assert_eq!(unit.noc.segments().len(), segments);
+            for (i, line) in unit.noc.segments().iter().enumerate() {
+                assert!(shares(line.table()), "segment {i} copied the table");
+            }
         }
     }
 
@@ -1155,8 +1034,8 @@ mod tests {
             Box::new(LutVectorUnit::new(&t, 2, 4, LutVariant::PerNeuron)),
         ];
         let inputs = batch(2, 4);
-        let a = units[0].lookup_batch(&inputs).unwrap();
-        let b = units[1].lookup_batch(&inputs).unwrap();
+        let a = lookup(units[0].as_mut(), &inputs).unwrap();
+        let b = lookup(units[1].as_mut(), &inputs).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1170,17 +1049,14 @@ mod tests {
         assert_send::<dyn VectorUnit>();
         let t = table();
         let inputs = batch(3, 8);
+        let expect = expected(&t, &inputs);
         for kind in ApproximatorKind::all() {
             let mut unit = build(kind, LineConfig::paper_default(3, 8), &t).unwrap();
             let batch_for_thread = inputs.clone();
-            let out = std::thread::spawn(move || unit.lookup_batch(&batch_for_thread).unwrap())
+            let out = std::thread::spawn(move || lookup(unit.as_mut(), &batch_for_thread).unwrap())
                 .join()
                 .unwrap();
-            for (row_out, row_in) in out.iter().zip(&inputs) {
-                for (&o, &x) in row_out.iter().zip(row_in) {
-                    assert_eq!(o, t.eval(x), "{}", kind.label());
-                }
-            }
+            assert_eq!(out.as_slice(), expect, "{}", kind.label());
         }
     }
 }

@@ -1,16 +1,13 @@
 //! A flat, contiguous `(routers × neurons)` batch of fixed-point words.
 //!
-//! The serving hot path used to shuttle nested `Vec<Vec<Fixed>>` batches
-//! through every layer — one heap allocation per router row per batch,
-//! plus pointer-chasing on every access. [`FixedBatch`] replaces that
-//! with the layout the hardware model actually has: one contiguous
+//! [`FixedBatch`] has the layout the hardware model has: one contiguous
 //! buffer in row-major order, so a batch is a single allocation, rows
 //! are slices, and a whole batch can be recycled across serve calls
 //! without touching the allocator.
 
 use std::fmt;
 
-use crate::{Fixed, FixedError};
+use crate::Fixed;
 
 /// A dense row-major batch of [`Fixed`] words on a `(routers × neurons)`
 /// grid.
@@ -26,8 +23,7 @@ use crate::{Fixed, FixedError};
 /// - Tail padding is ordinary data: a serving layer that packs a partial
 ///   batch writes its pad word into the trailing slots, and the batch
 ///   itself does not distinguish pad from payload. Callers that scatter
-///   results back are responsible for dropping the padded tail — exactly
-///   as with the nested representation.
+///   results back are responsible for dropping the padded tail.
 /// - The buffer's *capacity* is never shrunk by [`reset`](Self::reset),
 ///   so a recycled batch reaches a steady state where no call allocates.
 /// - No format invariant is imposed across slots (validation belongs to
@@ -61,40 +57,6 @@ impl FixedBatch {
             routers: 0,
             neurons: 0,
         }
-    }
-
-    /// Builds a batch by flattening nested rows (the legacy
-    /// representation) into contiguous storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FixedError::RaggedRows`] if any row's width differs from
-    /// the first row's — a ragged grid has no flat layout.
-    pub fn from_rows(rows: &[Vec<Fixed>]) -> Result<Self, FixedError> {
-        let neurons = rows.first().map_or(0, Vec::len);
-        if let Some((row, r)) = rows.iter().enumerate().find(|(_, r)| r.len() != neurons) {
-            return Err(FixedError::RaggedRows {
-                row,
-                got: r.len(),
-                expected: neurons,
-            });
-        }
-        let mut data = Vec::with_capacity(rows.len() * neurons);
-        for row in rows {
-            data.extend_from_slice(row);
-        }
-        Ok(Self {
-            data,
-            routers: rows.len(),
-            neurons,
-        })
-    }
-
-    /// Expands back into nested rows (the legacy representation). Costs
-    /// one allocation per row — compatibility only, not a hot path.
-    #[must_use]
-    pub fn to_rows(&self) -> Vec<Vec<Fixed>> {
-        self.rows().map(<[Fixed]>::to_vec).collect()
     }
 
     /// Grid dimensions as `(routers, neurons)`.
@@ -220,29 +182,17 @@ mod tests {
 
     #[test]
     fn rows_iterate_in_order() {
-        let rows: Vec<Vec<Fixed>> = (0..3)
-            .map(|r| (0..2).map(|n| w(r as f64 + n as f64 * 0.25)).collect())
-            .collect();
-        let b = FixedBatch::from_rows(&rows).unwrap();
+        let value = |r: usize, n: usize| w(r as f64 + n as f64 * 0.25);
+        let mut b = FixedBatch::new(3, 2, w(0.0));
+        for (i, x) in b.as_mut_slice().iter_mut().enumerate() {
+            *x = value(i / 2, i % 2);
+        }
         let collected: Vec<&[Fixed]> = b.rows().collect();
         assert_eq!(collected.len(), 3);
-        for (r, row) in rows.iter().enumerate() {
-            assert_eq!(collected[r], row.as_slice());
+        for (r, row) in collected.iter().enumerate() {
+            assert_eq!(*row, [value(r, 0), value(r, 1)]);
+            assert_eq!(*row, b.row(r));
         }
-        assert_eq!(b.to_rows(), rows);
-    }
-
-    #[test]
-    fn ragged_rows_rejected() {
-        let rows = vec![vec![w(0.0); 4], vec![w(0.0); 3]];
-        assert!(matches!(
-            FixedBatch::from_rows(&rows),
-            Err(FixedError::RaggedRows {
-                row: 1,
-                got: 3,
-                expected: 4
-            })
-        ));
     }
 
     #[test]
@@ -266,7 +216,7 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.dims(), (0, 0));
         assert_eq!(b.rows().count(), 0);
-        assert!(FixedBatch::from_rows(&[]).unwrap().is_empty());
+        assert!(FixedBatch::new(0, 4, w(0.0)).is_empty());
     }
 
     #[test]

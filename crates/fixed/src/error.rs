@@ -27,16 +27,6 @@ pub enum FixedError {
         /// The format it was supposed to fit.
         format: crate::QFormat,
     },
-    /// Nested rows of differing widths cannot be flattened into a
-    /// contiguous [`crate::FixedBatch`] grid.
-    RaggedRows {
-        /// Index of the offending row.
-        row: usize,
-        /// Its width.
-        got: usize,
-        /// The width of the first row (the grid's neuron count).
-        expected: usize,
-    },
 }
 
 impl fmt::Display for FixedError {
@@ -54,12 +44,6 @@ impl fmt::Display for FixedError {
             }
             FixedError::RawOutOfRange { raw, format } => {
                 write!(f, "raw value {raw} does not fit {format}")
-            }
-            FixedError::RaggedRows { row, got, expected } => {
-                write!(
-                    f,
-                    "row {row} has {got} values where the grid expects {expected}"
-                )
             }
         }
     }

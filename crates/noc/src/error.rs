@@ -17,13 +17,14 @@ pub enum NocError {
     BadLinkConfig(&'static str),
     /// A line configuration was invalid (zero routers/neurons).
     BadLineConfig(&'static str),
-    /// The input batch shape does not match the line configuration.
+    /// The input or output buffer does not hold exactly `routers ×
+    /// neurons` slots.
     InputShape {
         /// Routers in the configuration.
         routers: usize,
         /// Neurons per router in the configuration.
         neurons: usize,
-        /// What the caller supplied (routers, first bad row length).
+        /// What the caller supplied: (input slots, output slots).
         got: (usize, usize),
     },
     /// A word in the input batch used a different Q-format than the table.
@@ -41,7 +42,7 @@ impl fmt::Display for NocError {
             NocError::BadLineConfig(msg) => write!(f, "bad line config: {msg}"),
             NocError::InputShape { routers, neurons, got } => write!(
                 f,
-                "input batch shape {got:?} does not match {routers} routers × {neurons} neurons"
+                "(input, output) slots {got:?} do not match {routers} routers × {neurons} neurons"
             ),
             NocError::FormatMismatch => write!(f, "input word format does not match the table"),
         }

@@ -38,9 +38,12 @@
 //! let table = QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven)?;
 //! let config = LineConfig::paper_default(4, 128); // 4 routers × 128 neurons
 //! let mut sim = BroadcastSim::new(config, &table)?;
-//! let inputs = vec![vec![Fixed::from_f64(0.5, Q4_12, Rounding::NearestEven); 128]; 4];
-//! let outcome = sim.run(&inputs)?;
-//! assert_eq!(outcome.outputs[0][0], table.eval(inputs[0][0]));
+//! // Slot `r * 128 + n` is neuron `n` of router `r`.
+//! let inputs = vec![Fixed::from_f64(0.5, Q4_12, Rounding::NearestEven); 4 * 128];
+//! let mut outputs = vec![Fixed::zero(Q4_12); inputs.len()];
+//! let stats = sim.run_flat(&inputs, &mut outputs)?;
+//! assert_eq!(outputs[0], table.eval(inputs[0]));
+//! assert_eq!(stats.core_cycle_latency, 2); // lookup + MAC
 //! # Ok(())
 //! # }
 //! ```

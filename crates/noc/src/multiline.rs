@@ -15,7 +15,7 @@
 use nova_approx::QuantizedPwl;
 use nova_fixed::Fixed;
 
-use crate::sim::{BroadcastSim, Outcome, SimStats};
+use crate::sim::{BroadcastSim, SimStats};
 use crate::{BroadcastSchedule, LineConfig, NocError};
 
 /// A NOVA NoC split into parallel segments.
@@ -97,16 +97,24 @@ impl SegmentedNoc {
     /// Switches every segment to `table` (see
     /// [`BroadcastSim::set_table`]). The segments share one link, so the
     /// flit schedule is compiled once, before any segment changes: a
-    /// refused switch leaves the old table active on every segment.
+    /// refused switch leaves the old table active on every segment. The
+    /// last segment takes the compiled schedule itself and only the
+    /// others get a copy, so a one-segment switch does exactly the plain
+    /// line's work.
     ///
     /// # Errors
     ///
     /// Propagates schedule compilation errors (e.g. tag overflow).
     pub fn set_table(&mut self, table: &QuantizedPwl) -> Result<(), NocError> {
         let schedule = BroadcastSchedule::compile(table, self.config.link)?;
-        for seg in &mut self.segments {
+        let (last, rest) = self
+            .segments
+            .split_last_mut()
+            .expect("construction guarantees at least one segment");
+        for seg in rest {
             seg.install(schedule.clone(), table);
         }
+        last.install(schedule, table);
         Ok(())
     }
 
@@ -123,25 +131,11 @@ impl SegmentedNoc {
             .unwrap_or(0)
     }
 
-    /// Runs one batch across all segments in parallel. NoC cycles are the
-    /// *maximum* over segments (they operate concurrently); activity
-    /// counters are summed.
-    ///
-    /// Compatibility wrapper over [`run_flat`](Self::run_flat) — hot
-    /// loops should hold flat buffers and call `run_flat` directly.
-    ///
-    /// # Errors
-    ///
-    /// Same shape/format validation as [`BroadcastSim::run`].
-    pub fn run(&mut self, inputs: &[Vec<Fixed>]) -> Result<Outcome, NocError> {
-        let config = self.config;
-        crate::sim::run_nested_via_flat(config, inputs, |flat, out| self.run_flat(flat, out))
-    }
-
     /// Runs one batch over flat row-major buffers (slot
     /// `r * neurons + n`), each segment broadcasting over its contiguous
-    /// row range in place — the zero-copy hot path, with no per-batch
-    /// allocation.
+    /// row range in place, with no per-batch allocation. NoC cycles are
+    /// the *maximum* over segments (they operate concurrently); activity
+    /// counters are summed.
     ///
     /// # Errors
     ///
@@ -216,20 +210,24 @@ mod tests {
         QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap()
     }
 
-    fn batch(routers: usize, neurons: usize) -> Vec<Vec<Fixed>> {
-        (0..routers)
-            .map(|r| {
-                (0..neurons)
-                    .map(|n| {
-                        Fixed::from_f64(
-                            -(((r * neurons + n) as f64 * 0.7).sin().abs() * 7.9),
-                            Q4_12,
-                            Rounding::NearestEven,
-                        )
-                    })
-                    .collect()
+    /// A flat `routers × neurons` batch (slot `r * neurons + n`).
+    fn batch(routers: usize, neurons: usize) -> Vec<Fixed> {
+        (0..routers * neurons)
+            .map(|i| {
+                Fixed::from_f64(
+                    -((i as f64 * 0.7).sin().abs() * 7.9),
+                    Q4_12,
+                    Rounding::NearestEven,
+                )
             })
             .collect()
+    }
+
+    /// Runs one batch through the fast path into a fresh output buffer.
+    fn run(noc: &mut SegmentedNoc, inputs: &[Fixed]) -> (Vec<Fixed>, SimStats) {
+        let mut out = vec![Fixed::zero(Q4_12); inputs.len()];
+        let stats = noc.run_flat(inputs, &mut out).unwrap();
+        (out, stats)
     }
 
     #[test]
@@ -240,13 +238,12 @@ mod tests {
         let mut noc = SegmentedNoc::new(config, &t).unwrap();
         assert_eq!(noc.segment_count(), 2);
         assert_eq!(noc.split(), &[5, 3]);
-        let inputs = batch(8, 4);
-        let out = noc.run(&inputs).unwrap();
+        let (_, stats) = run(&mut noc, &batch(8, 4));
         // Single-cycle broadcast restored: 2 flits, 2 NoC cycles, latency
         // 2 core cycles — same as a short line.
-        assert_eq!(out.stats.noc_cycles, 2);
-        assert_eq!(out.stats.core_cycle_latency, 2);
-        assert_eq!(out.stats.buffered, 0);
+        assert_eq!(stats.noc_cycles, 2);
+        assert_eq!(stats.core_cycle_latency, 2);
+        assert_eq!(stats.buffered, 0);
     }
 
     #[test]
@@ -257,11 +254,12 @@ mod tests {
         let inputs = batch(12, 3);
         let mut seg = SegmentedNoc::new(config, &t).unwrap();
         let mut plain = BroadcastSim::new(config, &t).unwrap();
-        let a = seg.run(&inputs).unwrap();
-        let b = plain.run(&inputs).unwrap();
-        assert_eq!(a.outputs, b.outputs, "functionally identical");
+        let (a, seg_stats) = run(&mut seg, &inputs);
+        let mut b = vec![Fixed::zero(Q4_12); inputs.len()];
+        let plain_stats = plain.run_flat(&inputs, &mut b).unwrap();
+        assert_eq!(a, b, "functionally identical");
         // But the segmented NoC is strictly faster.
-        assert!(a.stats.noc_cycles < b.stats.noc_cycles);
+        assert!(seg_stats.noc_cycles < plain_stats.noc_cycles);
     }
 
     #[test]
@@ -279,9 +277,9 @@ mod tests {
         config.max_hops_per_cycle = 5;
         let mut noc = SegmentedNoc::new(config, &t).unwrap();
         assert_eq!(noc.segment_count(), 4);
-        let out = noc.run(&batch(20, 1)).unwrap();
+        let (_, stats) = run(&mut noc, &batch(20, 1));
         // 2 flits per segment (16 breakpoints), 4 segments.
-        assert_eq!(out.stats.flits_injected, 8);
+        assert_eq!(stats.flits_injected, 8);
     }
 
     #[test]
@@ -292,9 +290,9 @@ mod tests {
             config.max_hops_per_cycle = reach;
             let mut noc = SegmentedNoc::new(config, &t).unwrap();
             let nominal = noc.nominal_core_cycle_latency();
-            let out = noc.run(&batch(routers, 2)).unwrap();
+            let (_, stats) = run(&mut noc, &batch(routers, 2));
             assert_eq!(
-                nominal, out.stats.core_cycle_latency,
+                nominal, stats.core_cycle_latency,
                 "{routers} routers at reach {reach}"
             );
         }
@@ -311,7 +309,7 @@ mod tests {
             config.max_hops_per_cycle = reach;
             let mut fast = SegmentedNoc::new(config, &t).unwrap();
             let mut reference = SegmentedNoc::new(config, &t).unwrap();
-            let inputs: Vec<Fixed> = batch(routers, neurons).into_iter().flatten().collect();
+            let inputs = batch(routers, neurons);
             let mut out_fast = vec![Fixed::zero(Q4_12); inputs.len()];
             let mut out_ref = out_fast.clone();
             for _ in 0..2 {
@@ -325,8 +323,29 @@ mod tests {
 
     #[test]
     fn shape_validation() {
+        // A wrong input length and a wrong output length are refused by
+        // both paths before any segment runs. Batch stats sum the
+        // routers' cumulative latch counters, so a first accepted batch
+        // that reports a fresh NoC's stats proves no counter moved.
         let t = table();
-        let mut noc = SegmentedNoc::new(LineConfig::paper_default(4, 2), &t).unwrap();
-        assert!(noc.run(&batch(3, 2)).is_err());
+        let mut config = LineConfig::paper_default(4, 2);
+        config.max_hops_per_cycle = 3;
+        let mut noc = SegmentedNoc::new(config, &t).unwrap();
+        assert_eq!(noc.segment_count(), 2);
+        let zero = Fixed::zero(Q4_12);
+        for got in [(7, 8), (8, 7)] {
+            let inputs = vec![zero; got.0];
+            let mut outputs = vec![zero; got.1];
+            let expect = Err(NocError::InputShape {
+                routers: 4,
+                neurons: 2,
+                got,
+            });
+            assert_eq!(noc.run_flat(&inputs, &mut outputs), expect);
+            assert_eq!(noc.run_flat_reference(&inputs, &mut outputs), expect);
+        }
+        let inputs = batch(4, 2);
+        let mut fresh = SegmentedNoc::new(config, &t).unwrap();
+        assert_eq!(run(&mut noc, &inputs), run(&mut fresh, &inputs));
     }
 }

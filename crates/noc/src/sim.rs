@@ -41,15 +41,6 @@ pub struct SimStats {
     pub mac_ops: u64,
 }
 
-/// Result of one batch: per-router per-neuron outputs plus statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Outcome {
-    /// `outputs[r][n]` is neuron `n` of router `r`.
-    pub outputs: Vec<Vec<Fixed>>,
-    /// Cycle/activity statistics.
-    pub stats: SimStats,
-}
-
 /// The line simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BroadcastSim {
@@ -59,7 +50,8 @@ pub struct BroadcastSim {
     routers: Vec<Router>,
     /// In-flight flit scratch `(schedule index, next router)`, reused
     /// across batches so the steady-state broadcast loop never touches
-    /// the allocator. Always empty between [`run`](Self::run) calls.
+    /// the allocator. Always empty between
+    /// [`run_flat_reference`](Self::run_flat_reference) calls.
     in_flight: Vec<(usize, usize)>,
     /// Double-buffer partner of `in_flight` (same lifecycle).
     flying_scratch: Vec<(usize, usize)>,
@@ -107,8 +99,8 @@ impl BroadcastSim {
     /// Per-batch broadcast latency in core cycles, computed without
     /// running a batch. The broadcast is data-independent — one flit
     /// injects per NoC cycle and every flit advances `max_hops_per_cycle`
-    /// routers per cycle — so the cycle count [`run`](Self::run) reports
-    /// is a pure function of the schedule and geometry.
+    /// routers per cycle — so the cycle count [`run_flat`](Self::run_flat)
+    /// reports is a pure function of the schedule and geometry.
     #[must_use]
     pub fn nominal_core_cycle_latency(&self) -> u64 {
         let flits = self.schedule.flit_count() as u64;
@@ -152,27 +144,10 @@ impl BroadcastSim {
         }
     }
 
-    /// Runs one batch: `inputs[r][n]` is the PE output of neuron `n` at
-    /// router `r`. Returns per-neuron approximated values plus stats.
-    ///
-    /// Compatibility wrapper over [`run_flat`](Self::run_flat) — it pays
-    /// one flatten/reshape round trip, so hot loops should hold flat
-    /// buffers and call `run_flat` directly.
-    ///
-    /// # Errors
-    ///
-    /// - [`NocError::InputShape`] if the batch shape mismatches the line,
-    /// - [`NocError::FormatMismatch`] if any word uses the wrong Q-format.
-    pub fn run(&mut self, inputs: &[Vec<Fixed>]) -> Result<Outcome, NocError> {
-        let config = self.config;
-        run_nested_via_flat(config, inputs, |flat, out| self.run_flat(flat, out))
-    }
-
     /// Runs one batch over flat row-major buffers: slot `r * neurons + n`
     /// of `inputs` is the PE output of neuron `n` at router `r`, and the
-    /// approximated value lands in the same slot of `outputs`. This is
-    /// the zero-copy hot path, and it does *not* walk flits router by
-    /// router:
+    /// approximated value lands in the same slot of `outputs`. It does
+    /// *not* walk flits router by router:
     ///
     /// - **Data.** The wire is exact: a compiled schedule's `Word16`
     ///   round trip is lossless for every ≤ 16-bit format (wider formats
@@ -357,38 +332,6 @@ impl BroadcastSim {
     }
 }
 
-/// The shared nested-batch compatibility shim: validates row shapes
-/// (reporting the offending row's width), flattens, runs the flat path
-/// and reshapes the result — used by both [`BroadcastSim::run`] and
-/// `SegmentedNoc::run` so their diagnostics cannot drift.
-pub(crate) fn run_nested_via_flat(
-    config: LineConfig,
-    inputs: &[Vec<Fixed>],
-    run_flat: impl FnOnce(&[Fixed], &mut [Fixed]) -> Result<SimStats, NocError>,
-) -> Result<Outcome, NocError> {
-    let shape_err = |got| NocError::InputShape {
-        routers: config.routers,
-        neurons: config.neurons_per_router,
-        got,
-    };
-    if inputs.len() != config.routers {
-        return Err(shape_err((inputs.len(), 0)));
-    }
-    for row in inputs {
-        if row.len() != config.neurons_per_router {
-            return Err(shape_err((inputs.len(), row.len())));
-        }
-    }
-    let flat: Vec<Fixed> = inputs.iter().flatten().copied().collect();
-    let mut out = flat.clone();
-    let stats = run_flat(&flat, &mut out)?;
-    let outputs = out
-        .chunks(config.neurons_per_router.max(1))
-        .map(<[Fixed]>::to_vec)
-        .collect();
-    Ok(Outcome { outputs, stats })
-}
-
 /// Propagates flit `fi` starting at router `pos` for up to `reach` hops.
 /// Returns `(next position, parked?)`. Free function so the schedule's
 /// flit can be *borrowed* while the routers mutate — the hot loop snoops
@@ -441,17 +384,22 @@ mod tests {
         QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap()
     }
 
-    fn batch(routers: usize, neurons: usize, seed: f64) -> Vec<Vec<Fixed>> {
-        (0..routers)
-            .map(|r| {
-                (0..neurons)
-                    .map(|n| {
-                        let x = ((r * neurons + n) as f64 * 0.7 + seed).sin() * 6.0;
-                        Fixed::from_f64(x, Q4_12, Rounding::NearestEven)
-                    })
-                    .collect()
+    /// A flat `routers × neurons` batch: slot `r * neurons + n` is the PE
+    /// output of neuron `n` at router `r`.
+    fn batch(routers: usize, neurons: usize, seed: f64) -> Vec<Fixed> {
+        (0..routers * neurons)
+            .map(|i| {
+                let x = (i as f64 * 0.7 + seed).sin() * 6.0;
+                Fixed::from_f64(x, Q4_12, Rounding::NearestEven)
             })
             .collect()
+    }
+
+    /// Runs one batch through the fast path into a fresh output buffer.
+    fn run(sim: &mut BroadcastSim, inputs: &[Fixed]) -> (Vec<Fixed>, SimStats) {
+        let mut out = vec![Fixed::zero(Q4_12); inputs.len()];
+        let stats = sim.run_flat(inputs, &mut out).unwrap();
+        (out, stats)
     }
 
     #[test]
@@ -459,11 +407,9 @@ mod tests {
         let t = table(16);
         let mut sim = BroadcastSim::new(LineConfig::paper_default(10, 32), &t).unwrap();
         let inputs = batch(10, 32, 0.3);
-        let out = sim.run(&inputs).unwrap();
-        for (r, row) in inputs.iter().enumerate() {
-            for (n, &x) in row.iter().enumerate() {
-                assert_eq!(out.outputs[r][n], t.eval(x), "router {r} neuron {n}");
-            }
+        let (out, _) = run(&mut sim, &inputs);
+        for (slot, (&y, &x)) in out.iter().zip(&inputs).enumerate() {
+            assert_eq!(y, t.eval(x), "slot {slot}");
         }
     }
 
@@ -474,24 +420,21 @@ mod tests {
         // baseline's lookup + MAC).
         let t = table(16);
         let mut sim = BroadcastSim::new(LineConfig::paper_default(10, 8), &t).unwrap();
-        let out = sim.run(&batch(10, 8, 0.0)).unwrap();
-        assert_eq!(out.stats.flits_injected, 2);
-        assert_eq!(out.stats.noc_cycles, 2);
-        assert_eq!(out.stats.core_cycle_latency, 2);
-        assert_eq!(
-            out.stats.buffered, 0,
-            "10 routers are single-cycle reachable"
-        );
+        let (_, stats) = run(&mut sim, &batch(10, 8, 0.0));
+        assert_eq!(stats.flits_injected, 2);
+        assert_eq!(stats.noc_cycles, 2);
+        assert_eq!(stats.core_cycle_latency, 2);
+        assert_eq!(stats.buffered, 0, "10 routers are single-cycle reachable");
     }
 
     #[test]
     fn eight_breakpoints_single_flit() {
         let t = table(8);
         let mut sim = BroadcastSim::new(LineConfig::paper_default(8, 4), &t).unwrap();
-        let out = sim.run(&batch(8, 4, 1.0)).unwrap();
-        assert_eq!(out.stats.flits_injected, 1);
-        assert_eq!(out.stats.noc_cycles, 1);
-        assert_eq!(out.stats.core_cycle_latency, 2); // lookup + MAC
+        let (_, stats) = run(&mut sim, &batch(8, 4, 1.0));
+        assert_eq!(stats.flits_injected, 1);
+        assert_eq!(stats.noc_cycles, 1);
+        assert_eq!(stats.core_cycle_latency, 2); // lookup + MAC
     }
 
     #[test]
@@ -511,9 +454,9 @@ mod tests {
             config.max_hops_per_cycle = reach;
             let mut sim = BroadcastSim::new(config, &t).unwrap();
             let nominal = sim.nominal_core_cycle_latency();
-            let out = sim.run(&batch(routers, neurons, 0.5)).unwrap();
+            let (_, stats) = run(&mut sim, &batch(routers, neurons, 0.5));
             assert_eq!(
-                nominal, out.stats.core_cycle_latency,
+                nominal, stats.core_cycle_latency,
                 "{breakpoints} breakpoints, {routers} routers, reach {reach}"
             );
         }
@@ -525,17 +468,15 @@ mod tests {
         let mut config = LineConfig::paper_default(25, 2);
         config.max_hops_per_cycle = 10;
         let mut sim = BroadcastSim::new(config, &t).unwrap();
-        let out = sim.run(&batch(25, 2, 2.0)).unwrap();
+        let inputs = batch(25, 2, 2.0);
+        let (out, stats) = run(&mut sim, &inputs);
         // Each flit needs 3 cycles to cross 25 routers; second flit is
         // pipelined one cycle behind: 4 NoC cycles total.
-        assert_eq!(out.stats.noc_cycles, 4);
-        assert!(out.stats.buffered > 0);
+        assert_eq!(stats.noc_cycles, 4);
+        assert!(stats.buffered > 0);
         // Functional result still exact.
-        let inputs = batch(25, 2, 2.0);
-        for (r, row) in inputs.iter().enumerate() {
-            for (n, &x) in row.iter().enumerate() {
-                assert_eq!(out.outputs[r][n], t.eval(x));
-            }
+        for (&y, &x) in out.iter().zip(&inputs) {
+            assert_eq!(y, t.eval(x));
         }
     }
 
@@ -543,10 +484,10 @@ mod tests {
     fn stats_hops_accounting() {
         let t = table(8);
         let mut sim = BroadcastSim::new(LineConfig::paper_default(4, 2), &t).unwrap();
-        let out = sim.run(&batch(4, 2, 0.5)).unwrap();
-        assert_eq!(out.stats.hops, 4, "one flit × four routers");
-        assert_eq!(out.stats.pairs_latched, 8);
-        assert_eq!(out.stats.mac_ops, 8);
+        let (_, stats) = run(&mut sim, &batch(4, 2, 0.5));
+        assert_eq!(stats.hops, 4, "one flit × four routers");
+        assert_eq!(stats.pairs_latched, 8);
+        assert_eq!(stats.mac_ops, 8);
     }
 
     #[test]
@@ -573,10 +514,7 @@ mod tests {
             let mut fast = BroadcastSim::new(config, &t).unwrap();
             let mut reference = BroadcastSim::new(config, &t).unwrap();
             for round in 0..3 {
-                let inputs: Vec<Fixed> = batch(routers, neurons, round as f64 * 0.3)
-                    .into_iter()
-                    .flatten()
-                    .collect();
+                let inputs = batch(routers, neurons, round as f64 * 0.3);
                 let mut out_fast = vec![Fixed::zero(Q4_12); inputs.len()];
                 let mut out_ref = out_fast.clone();
                 let sf = fast.run_flat(&inputs, &mut out_fast).unwrap();
@@ -595,36 +533,49 @@ mod tests {
 
     #[test]
     fn input_shape_validation() {
+        // An input or output buffer that is not exactly `routers ×
+        // neurons` slots is refused by both paths before anything runs:
+        // no router counter moves.
         let t = table(16);
         let mut sim = BroadcastSim::new(LineConfig::paper_default(4, 8), &t).unwrap();
-        assert!(matches!(
-            sim.run(&batch(3, 8, 0.0)),
-            Err(NocError::InputShape { .. })
-        ));
-        assert!(matches!(
-            sim.run(&batch(4, 7, 0.0)),
-            Err(NocError::InputShape { .. })
-        ));
+        let before = counters([&sim]);
+        let zero = Fixed::zero(Q4_12);
+        for got in [(31, 32), (32, 31), (33, 33), (0, 0)] {
+            let inputs = vec![zero; got.0];
+            let mut outputs = vec![zero; got.1];
+            let expect = Err(NocError::InputShape {
+                routers: 4,
+                neurons: 8,
+                got,
+            });
+            assert_eq!(sim.run_flat(&inputs, &mut outputs), expect);
+            assert_eq!(sim.run_flat_reference(&inputs, &mut outputs), expect);
+        }
+        assert_eq!(counters([&sim]), before);
     }
 
     #[test]
     fn format_validation() {
         let t = table(16);
         let mut sim = BroadcastSim::new(LineConfig::paper_default(1, 1), &t).unwrap();
-        let wrong = vec![vec![Fixed::zero(nova_fixed::Q6_10)]];
-        assert!(matches!(sim.run(&wrong), Err(NocError::FormatMismatch)));
+        let wrong = [Fixed::zero(nova_fixed::Q6_10)];
+        let mut out = [Fixed::zero(Q4_12)];
+        assert_eq!(
+            sim.run_flat(&wrong, &mut out),
+            Err(NocError::FormatMismatch)
+        );
     }
 
     #[test]
     fn reusable_across_batches() {
         let t = table(16);
         let mut sim = BroadcastSim::new(LineConfig::paper_default(2, 4), &t).unwrap();
-        let a = sim.run(&batch(2, 4, 0.1)).unwrap();
-        let b = sim.run(&batch(2, 4, 0.9)).unwrap();
-        assert_ne!(a.outputs, b.outputs);
-        // Second batch computed correctly too.
+        let (a, _) = run(&mut sim, &batch(2, 4, 0.1));
         let inputs = batch(2, 4, 0.9);
-        assert_eq!(b.outputs[1][3], t.eval(inputs[1][3]));
+        let (b, _) = run(&mut sim, &inputs);
+        assert_ne!(a, b);
+        // Second batch computed correctly too (router 1, neuron 3).
+        assert_eq!(b[7], t.eval(inputs[7]));
     }
 
     #[test]
@@ -637,12 +588,14 @@ mod tests {
         let gelu = QuantizedPwl::from_pwl(&gelu_pwl, Q4_12, Rounding::NearestEven).unwrap();
         let mut sim = BroadcastSim::new(LineConfig::paper_default(4, 8), &exp).unwrap();
         let inputs = batch(4, 8, 0.4);
-        let a = sim.run(&inputs).unwrap();
-        assert_eq!(a.outputs[2][3], exp.eval(inputs[2][3]));
+        // Router 2, neuron 3.
+        let slot = 2 * 8 + 3;
+        let (a, _) = run(&mut sim, &inputs);
+        assert_eq!(a[slot], exp.eval(inputs[slot]));
         sim.set_table(&gelu).unwrap();
-        let b = sim.run(&inputs).unwrap();
-        assert_eq!(b.outputs[2][3], gelu.eval(inputs[2][3]));
-        assert_ne!(a.outputs, b.outputs);
+        let (b, _) = run(&mut sim, &inputs);
+        assert_eq!(b[slot], gelu.eval(inputs[slot]));
+        assert_ne!(a, b);
     }
 
     /// Every router's counters, line by line in router order.
@@ -660,56 +613,74 @@ mod tests {
         // every switch (exp → GELU → exp) both paths must serve the new
         // table with identical outputs, batch stats and per-router
         // counters, on a plain line and on a segmented one; the counters
-        // restart exactly as on a freshly built line.
+        // restart exactly as on a freshly built line. Where the reach
+        // covers the line, the segmented NoC has one segment and must be
+        // the plain line exactly: same batch stats, per-router counters
+        // and nominal latency on both paths.
         let fitted = |a| {
             let pwl = fit::fit_activation(a, 16, fit::BreakpointStrategy::Uniform).unwrap();
             QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap()
         };
         let (exp, gelu) = (fitted(Activation::Exp), fitted(Activation::Gelu));
-        let config = LineConfig {
-            max_hops_per_cycle: 4,
-            ..LineConfig::paper_default(10, 3)
-        };
-        let inputs: Vec<Fixed> = batch(10, 3, 0.4).into_iter().flatten().collect();
-        let mut fast = BroadcastSim::new(config, &exp).unwrap();
-        let mut reference = fast.clone();
-        let mut seg_fast = SegmentedNoc::new(config, &exp).unwrap();
-        let mut seg_reference = seg_fast.clone();
-        assert_eq!(seg_fast.segment_count(), 3);
-        for t in [&gelu, &exp] {
-            fast.set_table(t).unwrap();
-            reference.set_table(t).unwrap();
-            seg_fast.set_table(t).unwrap();
-            seg_reference.set_table(t).unwrap();
-            let expect: Vec<Fixed> = inputs.iter().map(|&x| t.eval(x)).collect();
-            let mut fresh = BroadcastSim::new(config, t).unwrap();
-            let mut seg_fresh = SegmentedNoc::new(config, t).unwrap();
-            for round in 0..2 {
-                let mut outs: [Vec<Fixed>; 4] =
-                    std::array::from_fn(|_| vec![Fixed::zero(Q4_12); inputs.len()]);
-                let [a, b, c, d] = &mut outs;
-                let sf = fast.run_flat(&inputs, a).unwrap();
-                let sr = reference.run_flat_reference(&inputs, b).unwrap();
-                let seg_sf = seg_fast.run_flat(&inputs, c).unwrap();
-                let seg_sr = seg_reference.run_flat_reference(&inputs, d).unwrap();
-                for (path, out) in outs.iter().enumerate() {
-                    assert_eq!(out, &expect, "path {path}, round {round}");
+        for (reach, segments) in [(4, 3), (10, 1)] {
+            let config = LineConfig {
+                max_hops_per_cycle: reach,
+                ..LineConfig::paper_default(10, 3)
+            };
+            let inputs = batch(10, 3, 0.4);
+            let mut fast = BroadcastSim::new(config, &exp).unwrap();
+            let mut reference = fast.clone();
+            let mut seg_fast = SegmentedNoc::new(config, &exp).unwrap();
+            let mut seg_reference = seg_fast.clone();
+            assert_eq!(seg_fast.segment_count(), segments);
+            for t in [&gelu, &exp] {
+                fast.set_table(t).unwrap();
+                reference.set_table(t).unwrap();
+                seg_fast.set_table(t).unwrap();
+                seg_reference.set_table(t).unwrap();
+                let expect: Vec<Fixed> = inputs.iter().map(|&x| t.eval(x)).collect();
+                let mut fresh = BroadcastSim::new(config, t).unwrap();
+                let mut seg_fresh = SegmentedNoc::new(config, t).unwrap();
+                for round in 0..2 {
+                    let label = format!("reach {reach}, round {round}");
+                    let mut outs: [Vec<Fixed>; 4] =
+                        std::array::from_fn(|_| vec![Fixed::zero(Q4_12); inputs.len()]);
+                    let [a, b, c, d] = &mut outs;
+                    let sf = fast.run_flat(&inputs, a).unwrap();
+                    let sr = reference.run_flat_reference(&inputs, b).unwrap();
+                    let seg_sf = seg_fast.run_flat(&inputs, c).unwrap();
+                    let seg_sr = seg_reference.run_flat_reference(&inputs, d).unwrap();
+                    for (path, out) in outs.iter().enumerate() {
+                        assert_eq!(out, &expect, "path {path}, {label}");
+                    }
+                    assert_eq!(sf, sr, "plain batch stats, {label}");
+                    assert_eq!(seg_sf, seg_sr, "segmented batch stats, {label}");
+                    assert_eq!(counters([&fast]), counters([&reference]));
+                    assert_eq!(
+                        counters(seg_fast.segments()),
+                        counters(seg_reference.segments())
+                    );
+                    let mut scratch = outs[0].clone();
+                    fresh.run_flat(&inputs, &mut scratch).unwrap();
+                    seg_fresh.run_flat(&inputs, &mut scratch).unwrap();
+                    assert_eq!(counters([&fast]), counters([&fresh]), "{label}");
+                    assert_eq!(
+                        counters(seg_fast.segments()),
+                        counters(seg_fresh.segments())
+                    );
+                    if segments == 1 {
+                        assert_eq!(seg_sf, sf, "one segment is the plain line, {label}");
+                        assert_eq!(seg_sr, sr, "one segment is the plain line, {label}");
+                        assert_eq!(counters(seg_fast.segments()), counters([&fast]));
+                        assert_eq!(counters(seg_reference.segments()), counters([&reference]));
+                        assert_eq!(
+                            seg_fast.nominal_core_cycle_latency(),
+                            fast.nominal_core_cycle_latency(),
+                            "{label}"
+                        );
+                        assert_eq!(sf.core_cycle_latency, fast.nominal_core_cycle_latency());
+                    }
                 }
-                assert_eq!(sf, sr, "plain batch stats, round {round}");
-                assert_eq!(seg_sf, seg_sr, "segmented batch stats, round {round}");
-                assert_eq!(counters([&fast]), counters([&reference]));
-                assert_eq!(
-                    counters(seg_fast.segments()),
-                    counters(seg_reference.segments())
-                );
-                let mut scratch = outs[0].clone();
-                fresh.run_flat(&inputs, &mut scratch).unwrap();
-                seg_fresh.run_flat(&inputs, &mut scratch).unwrap();
-                assert_eq!(counters([&fast]), counters([&fresh]), "round {round}");
-                assert_eq!(
-                    counters(seg_fast.segments()),
-                    counters(seg_fresh.segments())
-                );
             }
         }
     }
@@ -721,8 +692,8 @@ mod tests {
         config.link = LinkConfig::new(4, 2).unwrap();
         let mut sim = BroadcastSim::new(config, &t).unwrap();
         let inputs = batch(4, 4, 0.2);
-        let out = sim.run(&inputs).unwrap();
-        assert_eq!(out.stats.flits_injected, 4); // 16 segments / 4 per flit
-        assert_eq!(out.outputs[0][0], t.eval(inputs[0][0]));
+        let (out, stats) = run(&mut sim, &inputs);
+        assert_eq!(stats.flits_injected, 4); // 16 segments / 4 per flit
+        assert_eq!(out[0], t.eval(inputs[0]));
     }
 }

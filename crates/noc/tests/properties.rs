@@ -8,7 +8,8 @@
 use nova_approx::{fit, Activation, QuantizedPwl};
 use nova_fixed::rng::StdRng;
 use nova_fixed::{Fixed, Rounding, Q4_12};
-use nova_noc::{sim::BroadcastSim, Flit, LineConfig, LinkConfig};
+use nova_noc::sim::{BroadcastSim, SimStats};
+use nova_noc::{Flit, LineConfig, LinkConfig};
 
 fn table(segments: usize) -> QuantizedPwl {
     let pwl =
@@ -18,6 +19,13 @@ fn table(segments: usize) -> QuantizedPwl {
 
 fn raw16(rng: &mut StdRng) -> i64 {
     rng.gen_range(i64::from(i16::MIN)..i64::from(i16::MAX) + 1)
+}
+
+/// Runs one flat batch through the fast path into a fresh output buffer.
+fn run(sim: &mut BroadcastSim, inputs: &[Fixed]) -> (Vec<Fixed>, SimStats) {
+    let mut out = vec![Fixed::zero(Q4_12); inputs.len()];
+    let stats = sim.run_flat(inputs, &mut out).unwrap();
+    (out, stats)
 }
 
 /// NoC simulation ≡ table lookup, bit for bit, for any geometry.
@@ -35,21 +43,12 @@ fn broadcast_equals_table() {
         let mut config = LineConfig::paper_default(routers, neurons);
         config.max_hops_per_cycle = reach;
         let mut sim = BroadcastSim::new(config, &t).unwrap();
-        let inputs: Vec<Vec<Fixed>> = (0..routers)
-            .map(|r| {
-                (0..neurons)
-                    .map(|n| {
-                        let raw = raws[(r * neurons + n) % raws.len()];
-                        Fixed::from_raw(raw, Q4_12).unwrap()
-                    })
-                    .collect()
-            })
+        let inputs: Vec<Fixed> = (0..routers * neurons)
+            .map(|i| Fixed::from_raw(raws[i % raws.len()], Q4_12).unwrap())
             .collect();
-        let out = sim.run(&inputs).unwrap();
-        for (out_row, in_row) in out.outputs.iter().zip(&inputs) {
-            for (&o, &x) in out_row.iter().zip(in_row) {
-                assert_eq!(o, t.eval(x));
-            }
+        let (out, _) = run(&mut sim, &inputs);
+        for (&o, &x) in out.iter().zip(&inputs) {
+            assert_eq!(o, t.eval(x));
         }
     }
 }
@@ -72,10 +71,9 @@ fn cycle_count_formula() {
             continue;
         }
         let mut sim = BroadcastSim::new(config, &t).unwrap();
-        let inputs = vec![vec![Fixed::zero(Q4_12)]; routers];
-        let out = sim.run(&inputs).unwrap();
+        let (_, stats) = run(&mut sim, &vec![Fixed::zero(Q4_12); routers]);
         let traversal = routers.div_ceil(reach) as u64;
-        assert_eq!(out.stats.noc_cycles, flits as u64 + traversal - 1);
+        assert_eq!(stats.noc_cycles, flits as u64 + traversal - 1);
     }
 }
 
@@ -89,10 +87,9 @@ fn hops_are_flits_times_routers() {
         let t = table(segments);
         let config = LineConfig::paper_default(routers, 1);
         let mut sim = BroadcastSim::new(config, &t).unwrap();
-        let inputs = vec![vec![Fixed::zero(Q4_12)]; routers];
-        let out = sim.run(&inputs).unwrap();
+        let (_, stats) = run(&mut sim, &vec![Fixed::zero(Q4_12); routers]);
         let flits = sim.schedule().flit_count() as u64;
-        assert_eq!(out.stats.hops, flits * routers as u64);
+        assert_eq!(stats.hops, flits * routers as u64);
     }
 }
 

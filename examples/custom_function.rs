@@ -39,30 +39,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("quantized (Q4.12): {qreport}");
 
     // 4. Broadcast it over a 4-router NOVA line and spot-check.
+    //    Slot `r * 8 + n` of the flat batch is neuron n of router r.
     let mut sim = BroadcastSim::new(LineConfig::paper_default(4, 8), &table)?;
-    let inputs: Vec<Vec<Fixed>> = (0..4)
-        .map(|r| {
-            (0..8)
-                .map(|n| {
-                    Fixed::from_f64(
-                        -6.0 + (r * 8 + n) as f64 * 12.0 / 31.0,
-                        Q4_12,
-                        Rounding::NearestEven,
-                    )
-                })
-                .collect()
-        })
+    let inputs: Vec<Fixed> = (0..4 * 8)
+        .map(|i| Fixed::from_f64(-6.0 + i as f64 * 12.0 / 31.0, Q4_12, Rounding::NearestEven))
         .collect();
-    let out = sim.run(&inputs)?;
+    let mut outputs = vec![Fixed::zero(Q4_12); inputs.len()];
+    let stats = sim.run_flat(&inputs, &mut outputs)?;
     println!(
         "\nNoC run: {} flits, {} NoC cycles, latency {} core cycles",
-        out.stats.flits_injected, out.stats.noc_cycles, out.stats.core_cycle_latency
+        stats.flits_injected, stats.noc_cycles, stats.core_cycle_latency
     );
     for (r, n) in [(0usize, 0usize), (1, 4), (3, 7)] {
-        let x = inputs[r][n].to_f64();
+        let x = inputs[r * 8 + n].to_f64();
         println!(
             "  mish({x:>6.3}) ≈ {:>7.4} on the NoC (reference {:>7.4})",
-            out.outputs[r][n].to_f64(),
+            outputs[r * 8 + n].to_f64(),
             mish(x)
         );
     }

@@ -8,7 +8,7 @@ use nova::engine::{evaluate, ApproximatorKind};
 use nova::{Mapper, NovaOverlay};
 use nova_accel::AcceleratorConfig;
 use nova_approx::Activation;
-use nova_fixed::{Fixed, Rounding, Q4_12};
+use nova_fixed::{Fixed, FixedBatch, Rounding, Q4_12};
 use nova_synth::TechModel;
 use nova_workloads::bert::BertConfig;
 
@@ -42,23 +42,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    built through the unified ApproximatorKind dispatch.
     let overlay = NovaOverlay::new(&host);
     let table = &plan.mappings[0].table;
+    //    A batch is one flat `routers × neurons` grid: row r is router r.
     let mut unit = overlay.unit(&tech, table, ApproximatorKind::NovaNoc)?;
-    let inputs: Vec<Vec<Fixed>> = (0..host.nova_routers)
-        .map(|r| {
-            (0..host.neurons_per_router)
-                .map(|n| {
-                    let x = ((r * 131 + n) as f64 * 0.37).sin() * 6.0;
-                    Fixed::from_f64(x, Q4_12, Rounding::NearestEven)
-                })
-                .collect()
-        })
-        .collect();
-    let outputs = unit.lookup_batch(&inputs)?;
-    let x = inputs[0][0].to_f64();
+    let mut inputs = FixedBatch::new(
+        host.nova_routers,
+        host.neurons_per_router,
+        Fixed::zero(Q4_12),
+    );
+    for r in 0..host.nova_routers {
+        for (n, slot) in inputs.row_mut(r).iter_mut().enumerate() {
+            let x = ((r * 131 + n) as f64 * 0.37).sin() * 6.0;
+            *slot = Fixed::from_f64(x, Q4_12, Rounding::NearestEven);
+        }
+    }
+    let mut outputs = FixedBatch::empty();
+    unit.lookup_batch_into(&inputs, &mut outputs)?;
+    let x = inputs.row(0)[0].to_f64();
     println!(
         "Broadcast done in {} core cycles; GELU({x:.3}) ≈ {:.4} (exact {:.4})",
         unit.latency_cycles(),
-        outputs[0][0].to_f64(),
+        outputs.row(0)[0].to_f64(),
         Activation::Gelu.eval(x),
     );
 

@@ -41,21 +41,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("The slope/bias pairs live on the wire: one 257-bit flit snakes through");
     println!("all 8 routers in a single cycle (clockless repeaters); each router's tag");
     println!("match latches the pair its lookup address selects.\n");
+    // One neuron per router, so slot r of the flat batch is router r.
     let config = LineConfig::paper_default(8, 1);
     let mut sim = BroadcastSim::new(config, &table)?;
-    let batch: Vec<Vec<Fixed>> = inputs.iter().map(|&x| vec![x]).collect();
-    let out = sim.run(&batch)?;
-    for (r, row) in out.outputs.iter().enumerate() {
+    let mut outputs = [Fixed::zero(Q4_12); 8];
+    let stats = sim.run_flat(&inputs, &mut outputs)?;
+    for (r, (x, y)) in inputs.iter().zip(&outputs).enumerate() {
         println!(
             "router {r}: x = {:>7.3} → result {:>7.4} (bit-identical to LUT: {})",
-            inputs[r].to_f64(),
-            row[0].to_f64(),
-            row[0] == table.eval(inputs[r]),
+            x.to_f64(),
+            y.to_f64(),
+            *y == table.eval(*x),
         );
     }
     println!(
         "\nstats: {} flit injected, {} NoC cycles, {} hops, latency {} core cycles — same 2-cycle latency as the LUT baseline, with zero SRAM banks.",
-        out.stats.flits_injected, out.stats.noc_cycles, out.stats.hops, out.stats.core_cycle_latency,
+        stats.flits_injected, stats.noc_cycles, stats.hops, stats.core_cycle_latency,
     );
     Ok(())
 }

@@ -2,24 +2,31 @@
 //! → engine, over every Table II configuration.
 
 use nova::engine::{evaluate, ApproximatorKind};
-use nova::{Mapper, NovaOverlay, VectorUnit};
+use nova::{FixedBatch, Mapper, NovaOverlay, VectorUnit};
 use nova_accel::AcceleratorConfig;
 use nova_approx::Activation;
 use nova_fixed::{Fixed, Rounding, Q4_12};
 use nova_synth::TechModel;
 use nova_workloads::bert::BertConfig;
 
-fn batch(routers: usize, neurons: usize, seed: f64) -> Vec<Vec<Fixed>> {
-    (0..routers)
-        .map(|r| {
-            (0..neurons)
-                .map(|n| {
-                    let x = ((r * neurons + n) as f64 * 0.61 + seed).sin() * 6.5;
-                    Fixed::from_f64(x, Q4_12, Rounding::NearestEven)
-                })
-                .collect()
-        })
-        .collect()
+/// A flat `routers × neurons` batch (slot `r * neurons + n`).
+fn batch(routers: usize, neurons: usize, seed: f64) -> FixedBatch {
+    let mut b = FixedBatch::new(routers, neurons, Fixed::zero(Q4_12));
+    for (i, x) in b.as_mut_slice().iter_mut().enumerate() {
+        *x = Fixed::from_f64(
+            (i as f64 * 0.61 + seed).sin() * 6.5,
+            Q4_12,
+            Rounding::NearestEven,
+        );
+    }
+    b
+}
+
+/// Runs one batch into a fresh output buffer.
+fn lookup(unit: &mut dyn VectorUnit, inputs: &FixedBatch) -> FixedBatch {
+    let mut out = FixedBatch::empty();
+    unit.lookup_batch_into(inputs, &mut out).expect("batch");
+    out
 }
 
 /// The full pipeline on every Table II host: compile a mapping, then
@@ -46,7 +53,7 @@ fn every_host_all_units_agree() {
                 let mut unit = overlay
                     .unit(&tech, &mapping.table, kind)
                     .expect("dispatched unit must build");
-                outputs.push(unit.lookup_batch(&inputs).expect("batch"));
+                outputs.push(lookup(unit.as_mut(), &inputs));
             }
             for (out, kind) in outputs[1..].iter().zip(&ApproximatorKind::all()[1..]) {
                 assert_eq!(
@@ -59,7 +66,10 @@ fn every_host_all_units_agree() {
                 );
             }
             // Spot-check against the table itself.
-            assert_eq!(outputs[0][0][0], mapping.table.eval(inputs[0][0]));
+            assert_eq!(
+                outputs[0].as_slice()[0],
+                mapping.table.eval(inputs.as_slice()[0])
+            );
         }
     }
 }
@@ -150,14 +160,12 @@ fn eight_breakpoint_ablation() {
     let table = &plan.mappings[0].table;
     let mut unit = overlay.vector_unit(&tech, table).unwrap();
     let inputs = batch(cfg.nova_routers, cfg.neurons_per_router, 0.2);
-    let out = unit.lookup_batch(&inputs).unwrap();
-    for (r, row) in inputs.iter().enumerate() {
-        for (n, &x) in row.iter().enumerate() {
-            let expect = Activation::Sigmoid.eval(x.to_f64());
-            assert!(
-                (out[r][n].to_f64() - expect).abs() < 0.05,
-                "8-breakpoint sigmoid err at ({r},{n})"
-            );
-        }
+    let out = lookup(&mut unit, &inputs);
+    for (slot, (y, x)) in out.as_slice().iter().zip(inputs.as_slice()).enumerate() {
+        let expect = Activation::Sigmoid.eval(x.to_f64());
+        assert!(
+            (y.to_f64() - expect).abs() < 0.05,
+            "8-breakpoint sigmoid err at slot {slot}"
+        );
     }
 }

@@ -8,8 +8,7 @@
 use nova::serving::{Plan, ServingEngine, ServingRequest, TableCache, TableKey};
 use nova::vector_unit::build;
 use nova::{
-    ApproximatorKind, FixedBatch, LutVariant, LutVectorUnit, Mapper, NovaVectorUnit,
-    SegmentedNovaUnit, VectorUnit,
+    ApproximatorKind, FixedBatch, LutVariant, LutVectorUnit, Mapper, NovaVectorUnit, VectorUnit,
 };
 use nova_approx::Activation;
 use nova_fixed::rng::StdRng;
@@ -29,10 +28,11 @@ fn pick_activation(rng: &mut StdRng) -> Activation {
     ACTIVATIONS[rng.gen_range(0..ACTIVATIONS.len())]
 }
 
-/// For any activation, segment budget, geometry and inputs: the NOVA
-/// unit, the segmented NOVA unit and both LUT baselines agree bit for
-/// bit, and all equal the compiled table — before and after every unit
-/// switches to a second random table.
+/// For any activation, segment budget, geometry, reach and inputs: the
+/// NOVA unit (segmented wherever the reach falls short of the line) and
+/// both LUT baselines agree bit for bit, and all equal the compiled
+/// table — before and after every unit switches to a second random
+/// table.
 #[test]
 fn all_units_agree_under_random_mappings() {
     let mut rng = StdRng::seed_from_u64(0xD001);
@@ -64,19 +64,13 @@ fn all_units_agree_under_random_mappings() {
         );
         let mut config = LineConfig::paper_default(routers, neurons);
         config.max_hops_per_cycle = reach;
-        let inputs: Vec<Vec<Fixed>> = (0..routers)
-            .map(|r| {
-                (0..neurons)
-                    .map(|n| {
-                        let raw = raws[(r * neurons + n) % raws.len()];
-                        Fixed::from_raw(raw, Q4_12).unwrap()
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut units: [Box<dyn VectorUnit>; 4] = [
+        let mut inputs = FixedBatch::new(routers, neurons, Fixed::zero(Q4_12));
+        for (i, x) in inputs.as_mut_slice().iter_mut().enumerate() {
+            *x = Fixed::from_raw(raws[i % raws.len()], Q4_12).unwrap();
+        }
+        let mut out = FixedBatch::empty();
+        let mut units: [Box<dyn VectorUnit>; 3] = [
             Box::new(NovaVectorUnit::new(config, &first).unwrap()),
-            Box::new(SegmentedNovaUnit::new(config, &first).unwrap()),
             Box::new(LutVectorUnit::new(
                 &first,
                 routers,
@@ -91,34 +85,29 @@ fn all_units_agree_under_random_mappings() {
             )),
         ];
         for (step, table) in [&first, &second].into_iter().enumerate() {
-            let expect: Vec<Vec<Fixed>> = inputs
-                .iter()
-                .map(|row| row.iter().map(|&i| table.eval(i)).collect())
-                .collect();
+            let expect: Vec<Fixed> = inputs.as_slice().iter().map(|&i| table.eval(i)).collect();
             for unit in &mut units {
                 if step > 0 {
                     unit.switch_table(table).unwrap();
                 }
-                assert_eq!(
-                    unit.lookup_batch(&inputs).unwrap(),
-                    expect,
-                    "{} on table {step}",
-                    unit.name()
-                );
+                unit.lookup_batch_into(&inputs, &mut out).unwrap();
+                assert_eq!(out.as_slice(), expect, "{} on table {step}", unit.name());
             }
         }
     }
 }
 
-/// The flat zero-copy pipeline is functionally invisible: for every
-/// approximator kind, random geometry and random inputs, the
-/// `FixedBatch` + `lookup_batch_into` path is bit-identical to the
-/// legacy nested path, and recycled output buffers stay bit-exact
-/// across reuse.
+/// The flat zero-copy pipeline is bit-identical to the scalar datapath:
+/// for every approximator kind, random geometry and random inputs,
+/// `lookup_batch_into` writes exactly `QuantizedPwl::eval` of every word,
+/// and one recycled output buffer stays bit-exact across reuse.
 #[test]
-fn flat_path_bit_identical_to_nested_for_all_kinds_under_random_geometries() {
+fn flat_path_bit_identical_to_scalar_eval_for_all_kinds_under_random_geometries() {
     let mut rng = StdRng::seed_from_u64(0xF1A7);
     let cache = TableCache::new();
+    // Reuse one output buffer across kinds and rounds — recycling must
+    // never leak a previous batch's words.
+    let mut out = FixedBatch::empty();
     for round in 0..12 {
         let activation = pick_activation(&mut rng);
         let routers = rng.gen_range(1usize..9);
@@ -127,27 +116,18 @@ fn flat_path_bit_identical_to_nested_for_all_kinds_under_random_geometries() {
             .get_or_fit(TableKey::paper(activation))
             .expect("paper keys fit");
         let config = LineConfig::paper_default(routers, neurons);
-        let inputs: Vec<Vec<Fixed>> = (0..routers)
-            .map(|_| {
-                (0..neurons)
-                    .map(|_| {
-                        Fixed::from_f64(rng.gen_range(-8.0..8.0), Q4_12, Rounding::NearestEven)
-                    })
-                    .collect()
-            })
-            .collect();
-        let flat = FixedBatch::from_rows(&inputs).expect("rectangular by construction");
-        let mut out = FixedBatch::empty();
+        let mut inputs = FixedBatch::new(routers, neurons, Fixed::zero(Q4_12));
+        for x in inputs.as_mut_slice() {
+            *x = Fixed::from_f64(rng.gen_range(-8.0..8.0), Q4_12, Rounding::NearestEven);
+        }
+        let expect: Vec<Fixed> = inputs.as_slice().iter().map(|&x| table.eval(x)).collect();
         for kind in ApproximatorKind::all() {
-            let mut nested_unit = build(kind, config, &table).unwrap();
-            let mut flat_unit = build(kind, config, &table).unwrap();
-            let nested = nested_unit.lookup_batch(&inputs).unwrap();
-            // Reuse one output buffer across kinds and rounds — recycling
-            // must never leak a previous batch's words.
-            flat_unit.lookup_batch_into(&flat, &mut out).unwrap();
+            let mut unit = build(kind, config, &table).unwrap();
+            unit.lookup_batch_into(&inputs, &mut out).unwrap();
+            assert_eq!(out.dims(), (routers, neurons));
             assert_eq!(
-                out.to_rows(),
-                nested,
+                out.as_slice(),
+                expect,
                 "round {round}: {} diverged on a {routers}x{neurons} grid",
                 kind.label()
             );
