@@ -12,11 +12,11 @@
 //!   races on `UnsafeCell` accesses;
 //! - **`nova-lint`** ([`lint`], plus the `nova-lint` binary), a
 //!   dependency-free source scanner that mechanically enforces the
-//!   workspace's prose invariants: `unsafe` stays inside the audited
-//!   carve-out, deterministic crates never touch wall clocks, the
-//!   serving core names atomics only through the facade, and every
-//!   `unsafe` block / atomic callsite carries its `SAFETY:` /
-//!   `ordering:` rationale.
+//!   workspace's prose invariants: `unsafe` stays inside the one
+//!   audited carve-out (nova-core's `spsc` ring), deterministic crates
+//!   never touch wall clocks, nova-core names atomics only through the
+//!   facade, every `unsafe` block carries its `SAFETY:` rationale, and
+//!   every nova-core atomic callsite its `ordering:` rationale.
 //!
 //! Model tests for the real `nova::spsc` protocols live in
 //! `crates/core/tests/model.rs` and compile under

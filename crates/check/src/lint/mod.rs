@@ -7,11 +7,11 @@
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
-//! | `unsafe-carve-out` | every `.rs` file | the `unsafe` keyword appears only in the audited carve-out (`crates/core/src/spsc.rs`, `crates/core/src/serving.rs`) |
+//! | `unsafe-carve-out` | every `.rs` file | the `unsafe` keyword appears only in the audited carve-out (`crates/core/src/spsc.rs`) |
 //! | `wall-clock` | deterministic crates (fixed/approx/lut/noc/synth/serde/workloads) | no `Instant`, `SystemTime`, or `thread::sleep` — simulation results must not depend on the host clock |
 //! | `atomic-facade` | `crates/core/src/**` | atomics are named through `nova_check::sync`, never `std::sync::atomic`, so model builds instrument every site |
 //! | `safety-comment` | the carve-out files | every `unsafe` keyword has a `SAFETY` comment within the six lines above it |
-//! | `ordering-rationale` | the carve-out files | every atomic callsite naming an `Ordering` carries an `ordering:` rationale comment on the same line or the four above |
+//! | `ordering-rationale` | `crates/core/src/**` | every atomic callsite naming an `Ordering` carries an `ordering:` rationale comment on the same line or the four above |
 //!
 //! [`lint_source`] checks one file (used by the tests with seeded
 //! violations); [`lint_workspace`] walks a tree; the `nova-lint` binary
@@ -26,7 +26,7 @@ use crate::lexer::{lex, Tok, Token};
 
 /// The audited files allowed to contain `unsafe` (and required to
 /// comment every site).
-pub const UNSAFE_CARVE_OUT: [&str; 2] = ["crates/core/src/spsc.rs", "crates/core/src/serving.rs"];
+pub const UNSAFE_CARVE_OUT: [&str; 1] = ["crates/core/src/spsc.rs"];
 
 /// Crate prefixes that must stay wall-clock free (deterministic
 /// simulation / fitting / serialization code).
@@ -152,8 +152,8 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
                         line: t.line,
                         rule: "unsafe-carve-out",
                         message: "`unsafe` outside the audited carve-out \
-                                  (crates/core/src/{spsc,serving}.rs); \
-                                  move the code there or find a safe shape"
+                                  (crates/core/src/spsc.rs); move the code \
+                                  there or find a safe shape"
                             .into(),
                     });
                 } else if i < test_start && !has_marker_within(&safety_marks, t.line, 6) {
@@ -218,7 +218,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
             }
             // A `.load(..)`-shaped call is atomic when an Ordering
             // identifier appears inside its parentheses.
-            m if in_carve_out
+            m if in_core
                 && i < test_start
                 && ATOMIC_METHODS.contains(&m)
                 && matches!(
@@ -317,10 +317,12 @@ mod tests {
     #[test]
     fn seeded_unsafe_outside_carve_out_is_flagged() {
         let src = "pub fn f(p: *mut u8) { unsafe { *p = 0; } }";
-        let findings = lint_source("crates/noc/src/bad.rs", src);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "unsafe-carve-out");
-        assert_eq!(findings[0].line, 1);
+        for path in ["crates/noc/src/bad.rs", "crates/core/src/serving.rs"] {
+            let findings = lint_source(path, src);
+            assert_eq!(findings.len(), 1, "{path}: {findings:?}");
+            assert_eq!(findings[0].rule, "unsafe-carve-out");
+            assert_eq!(findings[0].line, 1);
+        }
     }
 
     #[test]
@@ -372,15 +374,17 @@ mod tests {
     #[test]
     fn atomic_callsite_requires_ordering_rationale() {
         let bad = "fn f(a: &AtomicBool) { a.store(true, Ordering::SeqCst); }";
-        let findings = lint_source("crates/core/src/spsc.rs", bad);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "ordering-rationale");
         let good = "fn f(a: &AtomicBool) {\n    // ordering: Dekker flag, must be SC.\n    \
                     a.store(true, Ordering::SeqCst);\n}";
-        assert!(lint_source("crates/core/src/spsc.rs", good).is_empty());
         // Non-atomic `.swap(i, j)` never needs one.
         let slice = "fn f(v: &mut Vec<u32>) { v.swap(0, 1); }";
-        assert!(lint_source("crates/core/src/spsc.rs", slice).is_empty());
+        for path in ["crates/core/src/spsc.rs", "crates/core/src/serving.rs"] {
+            let findings = lint_source(path, bad);
+            assert_eq!(findings.len(), 1, "{path}: {findings:?}");
+            assert_eq!(findings[0].rule, "ordering-rationale");
+            assert!(lint_source(path, good).is_empty(), "{path}");
+            assert!(lint_source(path, slice).is_empty(), "{path}");
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   thread-shared keyed table cache and a builder-configured
 //!   worker-pool pipeline (admission → per-activation coalescing into
 //!   fat work units → shard worker threads over [`spsc`] rings with
-//!   [`VectorUnit::switch_table`] re-programming → direct result
-//!   scatter with watermark completion) that packs activation-tagged
+//!   [`VectorUnit::switch_table`] re-programming → results riding home
+//!   with their unit → watermark completion) that packs activation-tagged
 //!   non-linear queries from many concurrent inference streams into
 //!   full vector-unit batches, bit-identically to sequential
 //!   evaluation for any worker count and activation interleaving, with
@@ -51,11 +51,11 @@
 //! ```
 
 // Unsafe is denied, not forbidden: the serving data plane's SPSC rings
-// ([`spsc`]) and its direct result scatter ([`serving`]) are the two
-// audited carve-outs — lock-free cross-thread handoff has no safe
-// std-only spelling. Every `unsafe` block sits behind a module- or
-// item-level `allow` with a SAFETY argument; the rest of the crate (and
-// every other workspace crate) still refuses unsafe outright.
+// ([`spsc`]) are the one audited carve-out — lock-free cross-thread
+// handoff has no safe std-only spelling. Every `unsafe` block there
+// sits behind the module-level `allow` with a SAFETY argument; the rest
+// of the crate (and every other workspace crate) still refuses unsafe
+// outright.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

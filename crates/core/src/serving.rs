@@ -33,14 +33,14 @@
 //!      different activation than the one currently loaded (free on
 //!      NOVA, a real bank-rewrite stall on LUT/SDP hardware — see
 //!      [`crate::timeline::table_switch_cycles`]), evaluating in
-//!      parallel, and **scattering results directly** into the
-//!      submitting ticket's pre-sized output rows;
-//!   3. a **watermark completion** stage on the engine thread that
-//!      counts each ticket's finished units off a per-shard completion
-//!      ring and rolls the counters — it never re-touches a result row,
-//!      because the workers already wrote every output word in place,
-//!      yet the output is bit-identical to the sequential path for any
-//!      worker count and any activation interleaving.
+//!      parallel into result grids of their own, and sending each fully
+//!      served unit home **with its results** in its batch shells;
+//!   3. a **completion** stage on the engine thread that pops finished
+//!      units off each shard's completion ring, copies every result
+//!      span into the submitting ticket's pre-sized output row and
+//!      advances the ticket's watermark. Only this thread ever writes a
+//!      ticket row, and the output is bit-identical to the sequential
+//!      path for any worker count and any activation interleaving.
 //!
 //! # Parking, not spinning
 //!
@@ -91,23 +91,24 @@
 //! surfaces share one data plane (and one bit-identity guarantee
 //! against [`serve_reference`](ServingEngine::serve_reference)).
 //!
-//! The data plane is **flat and zero-copy**: one packer
+//! The data plane is **flat, and results travel by value**: one packer
 //! (`serving/pack.rs`) lays every plan group out as batches of request
 //! *spans* — `(request, offset, grid slot, len)` fragments. A batch
 //! travels as a contiguous [`nova_fixed::FixedBatch`] grid plus its span
-//! list, each span carrying where its result words land; the worker
-//! evaluates through [`VectorUnit::lookup_batch_into`] into its own
-//! scratch and scatters one copy per span. Completions return the batch
-//! shells (grid plus span list) to an engine-owned pool — once the
-//! pipeline has warmed up, steady-state serving performs zero per-batch
-//! heap allocations ([`ServingEngine::buffers_created`] stays
-//! constant). Wall-clock stage attribution (admission, per-worker busy
-//! time, finalize) is exposed via [`ServingEngine::stage_times`] so the
-//! scaling bench can attribute regressions to a stage instead of
+//! list. The worker evaluates it through
+//! [`VectorUnit::lookup_batch_into`] into a result grid of its own and,
+//! once every batch of the unit was served, swaps the result grids into
+//! the unit's shells. The engine thread copies each span into its row
+//! and returns the shells (grid plus span list) to an engine-owned pool
+//! — once the pipeline has warmed up, steady-state serving performs
+//! zero per-batch heap allocations ([`ServingEngine::buffers_created`]
+//! stays constant). Wall-clock stage attribution (admission, per-worker
+//! busy time, finalize) is exposed via [`ServingEngine::stage_times`]
+//! so the scaling bench can attribute regressions to a stage instead of
 //! guessing.
 //!
 //! Only each activation run's tail batch is padded (with an in-domain
-//! value whose results are dropped on scatter), so batch occupancy
+//! value whose results are never copied out), so batch occupancy
 //! approaches 100 % as offered load grows — which is exactly what the
 //! paper's per-batch latency model rewards: the same 2-cycle lookup+MAC
 //! now serves `routers × neurons` queries from *different* tenants, on
@@ -145,8 +146,7 @@
 //!    the scalar architectural path ([`QuantizedPwl::eval`]) and
 //!    compares words; a mismatch, an injected [`InjectedFault`], or a
 //!    caught panic is a shard-fault verdict (the whole work unit is
-//!    condemned — a faulty shard's half-written scatter output is
-//!    untrusted);
+//!    condemned — nothing a faulty shard evaluated leaves the worker);
 //! 2. **quarantine** — the engine closes the shard's feed ring, joins
 //!    the retired worker (deadlock-free: the completion ring holds the
 //!    full outstanding cap), and removes the shard from the healthy
@@ -154,9 +154,10 @@
 //!    back *whole* (batches and plan intact, zero counters) over its
 //!    completion ring;
 //! 3. **requeue** — each handed-back unit is re-admitted to the
-//!    healthy shards. Scatter is idempotent (workers copy result
-//!    words to fixed per-span destinations), so the healthy re-run lands
-//!    bit-identically and the slate completes equal to
+//!    healthy shards as it came back. A worker swaps results into a
+//!    unit only after serving all of it, so a handed-back unit still
+//!    carries its inputs; the healthy re-run lands bit-identically and
+//!    the slate completes equal to
 //!    [`serve_reference`](ServingEngine::serve_reference) as long as
 //!    one healthy shard remains; only when the last shard is
 //!    quarantined does the engine poison. The ledger counts requeued
@@ -1167,7 +1168,7 @@ pub struct WorkerLoad {
     /// Stall cycles those re-programs cost this worker.
     pub switch_cycles: u64,
     /// Wall-clock nanoseconds spent processing work units (switch +
-    /// eval + scatter), for the bench's per-stage breakdown.
+    /// eval), for the bench's per-stage breakdown.
     pub busy_ns: u64,
 }
 
@@ -1197,13 +1198,13 @@ pub struct StageTimes {
     /// The busiest single worker's processing nanoseconds — the pool's
     /// wall-clock critical path.
     pub worker_busy_max_ns: u64,
-    /// Nanoseconds the caller thread spent finalizing finished tickets
-    /// (watermark bookkeeping; results were already scattered in
-    /// place by the workers).
+    /// Nanoseconds the caller thread spent bringing results home:
+    /// copying each served unit's result spans into its ticket's rows,
+    /// and judging finished tickets.
     pub finalize_ns: u64,
     /// Nanoseconds the caller thread spent quarantining faulted shards
     /// and re-admitting their in-flight units to healthy shards (ring
-    /// close + worker join + unit re-wrap); 0 while no fault fired.
+    /// close + worker join + requeue); 0 while no fault fired.
     pub requeue_ns: u64,
 }
 
@@ -1238,7 +1239,7 @@ struct CompiledPlan {
     rounding: Rounding,
     /// In-domain pad value for tail slots: the first lookup table's
     /// lower clamp bound (padded lanes can never fault; their outputs
-    /// are never scattered).
+    /// are never copied out).
     pad: Fixed,
     /// Lookup stages per batch — each costs one
     /// [`VectorUnit::latency_cycles`] charge on success.
@@ -1297,37 +1298,21 @@ fn range_scale_lane(num_raw: i64, recip_m: Fixed, e: i32, format: QFormat) -> Fi
 }
 
 /// One coalesced batch inside a work unit: a full (possibly
-/// tail-padded) input grid plus its span map.
+/// tail-padded) grid — inputs on the way out, results on the way back
+/// once its unit was served — plus its span map.
 struct PackedBatch {
-    /// Recyclable flat input grid (pool-owned between flights).
-    inputs: FixedBatch,
+    /// Recyclable flat grid (pool-owned between flights).
+    grid: FixedBatch,
     /// One entry per request fragment, in grid-slot order from slot 0:
-    /// the fragment's [`Span`] (reduce stages read each span as a row)
-    /// and where its `len` result words land.
-    ///
-    /// The destination is a slot of a `Vec<Fixed>` inside
-    /// `TicketState::outputs`. Admission sizes every row to its final
-    /// length *before* taking these pointers and never resizes a row
-    /// while its ticket is in flight, and moving `TicketState` (or the
-    /// `inflight` vector it lives in) moves only `Vec` headers — the
-    /// heap rows the pointers target stay put. The sequence ledger
-    /// guarantees exclusive access: each output word belongs to exactly
-    /// one span, and the engine only reads the rows after every unit of
-    /// the ticket has completed (a `SeqCst` completion-ring crossing
-    /// orders the worker's writes before the engine's reads).
-    spans: Vec<(Span, *mut Fixed)>,
+    /// reduce stages read each span as a row, and the engine copies
+    /// each span's result words into its request's row.
+    spans: Vec<Span>,
 }
-
-// SAFETY: `inputs` and the spans are plain owned data; the raw span
-// destinations are only written by the one worker the unit is routed
-// to, while the owning ticket is in flight (see `spans`).
-#[allow(unsafe_code)]
-unsafe impl Send for PackedBatch {}
 
 impl PackedBatch {
     /// Real (non-padded) queries: the grid's leading slots.
     fn len(&self) -> usize {
-        self.spans.last().map_or(0, |(span, _)| span.slots().end)
+        self.spans.last().map_or(0, |span| span.slots().end)
     }
 }
 
@@ -1342,32 +1327,29 @@ struct WorkUnit {
     batches: Vec<PackedBatch>,
 }
 
-/// Completion of one work unit: the batch shells riding back for
-/// recycling (or requeue) plus what became of the unit.
+/// Completion of one work unit: the unit riding back whole (its shells
+/// for recycling, or all of it for a requeue) plus what became of it.
+/// The done ring it arrives on names the shard.
 struct UnitDone {
-    seq: u64,
-    worker: usize,
-    batches: Vec<PackedBatch>,
+    unit: WorkUnit,
     outcome: Outcome,
 }
 
 /// What a worker did with one work unit.
 enum Outcome {
-    /// The unit ran on a trusted shard; its results were scattered in
-    /// place. `result` is `Ok` or the unit's first (lowest-batch)
-    /// failure — later batches still run after one fails.
+    /// The unit ran on a trusted shard. `result` is `Ok` or the unit's
+    /// first (lowest-batch) failure — later batches still run after one
+    /// fails. Only an `Ok` unit's grids hold results; a failed unit's
+    /// grids still hold its inputs.
     Served {
         ledger: UnitLedger,
         result: Result<(), NovaError>,
     },
     /// A shard-fault verdict (canary mismatch or armed-policy panic):
-    /// the unit was *not* served. Its batches ride back intact with its
-    /// plan, so the engine quarantines the worker and requeues the unit
-    /// on a healthy shard.
-    HandedBack {
-        verdict: String,
-        plan: Arc<CompiledPlan>,
-    },
+    /// the unit was *not* served and rides back with its inputs intact,
+    /// so the engine quarantines the worker and requeues the unit on a
+    /// healthy shard.
+    HandedBack(String),
 }
 
 /// Pre-aggregated counters of one served work unit.
@@ -1421,10 +1403,9 @@ struct TicketState {
     /// watermark — no per-row reorder work happens here).
     received: usize,
     /// Per-request output rows, pre-sized to their final lengths at
-    /// admission; workers write the result words in place through the
-    /// span destinations of the ticket's batches.
+    /// admission; the engine copies each served unit's result spans
+    /// into them.
     outputs: Vec<Vec<Fixed>>,
-    request_count: usize,
     /// Lowest-sequence unit failure, if any — deterministic for any
     /// worker timing because sequence order is submission order.
     failure: Option<(u64, NovaError)>,
@@ -1496,11 +1477,10 @@ pub struct ServingEngine {
     loads: Vec<WorkerLoad>,
     requests_served: u64,
     padded_slots: u64,
-    /// Recycling pool of batch shells (input grid plus span list).
+    /// Recycling pool of batch shells (grid plus span list).
     /// Admission pops one per packed batch and completions return them,
     /// so a steady-state serve loop performs zero per-batch heap
-    /// allocations. (Output scratch lives with each worker; results
-    /// scatter straight into ticket rows.)
+    /// allocations.
     spare_batches: Vec<PackedBatch>,
     /// Recycled `WorkUnit::batches` shells (capacity-keeping).
     spare_units: Vec<Vec<PackedBatch>>,
@@ -1537,8 +1517,7 @@ pub struct ServingEngine {
     requeued_units: u64,
     /// Latched fatal runtime failure (a dead worker pool): every later
     /// call fails fast instead of deadlocking. Latching also tears the
-    /// pool down, so no worker can still hold scatter pointers into
-    /// ticket state the caller may drop.
+    /// pool down and reaps its threads.
     poisoned: Option<String>,
 }
 
@@ -1633,11 +1612,14 @@ struct Worker {
     /// may have left the banks half-written, so the next lookup
     /// re-programs unconditionally.
     current: Option<TableKey>,
-    /// The newest stage output. Results scatter straight from here, so
-    /// no output buffer ever rides the rings.
+    /// The newest stage output.
     scratch: FixedBatch,
     /// Lookup output, swapped into `scratch` after every lookup.
     pong: FixedBatch,
+    /// The finished result grid of each batch of the unit in service
+    /// (at most [`MAX_UNIT_BATCHES`]), swapped into the unit's shells
+    /// once every batch was served.
+    results: Vec<FixedBatch>,
     /// The numerators and per-row range exponents a `SumRangeReduce`
     /// latches for the following `RangeScale` (`None` marks an all-zero
     /// row's uniform fallback).
@@ -1672,46 +1654,36 @@ impl Worker {
 
     /// Serves one work unit or, once retired, hands it back whole: after
     /// a fault verdict nothing this shard evaluates can be trusted.
-    fn serve(&mut self, work: WorkUnit) -> UnitDone {
-        let WorkUnit { seq, plan, batches } = work;
-        let served = match &self.retired {
-            Some(verdict) => Err(verdict.clone()),
-            None => self.serve_batches(seq, &plan, &batches),
+    fn serve(&mut self, mut unit: WorkUnit) -> UnitDone {
+        let outcome = match &self.retired {
+            Some(verdict) => Outcome::HandedBack(verdict.clone()),
+            None => self.serve_batches(&mut unit),
         };
-        let outcome = match served {
-            Ok((ledger, result)) => Outcome::Served { ledger, result },
-            Err(verdict) => {
-                self.retired = Some(verdict.clone());
-                Outcome::HandedBack { verdict, plan }
-            }
-        };
-        UnitDone {
-            seq,
-            worker: self.id,
-            batches,
-            outcome,
+        if let Outcome::HandedBack(verdict) = &outcome {
+            self.retired = Some(verdict.clone());
         }
+        UnitDone { unit, outcome }
     }
 
-    /// Runs every batch of a unit through its plan and scatters the
-    /// ones that evaluate, pre-aggregating one ledger for the run. A
-    /// failed batch keeps the unit going (the run reports its first
-    /// failure); a panicking batch is caught instead of killing the
-    /// thread.
+    /// Runs every batch of a unit through its plan into `results`,
+    /// pre-aggregating one ledger for the run. A failed batch keeps the
+    /// unit going (the run reports its first failure); a panicking batch
+    /// is caught instead of killing the thread. The result grids swap
+    /// into the unit's shells only when every batch was served, so a
+    /// failed unit keeps its input grids: a unit may refuse a batch
+    /// before shaping its output, and that grid must not reach the pool.
     ///
-    /// `Err` is a shard-fault verdict: the unit stops mid-way and is
-    /// handed back whole. Scatter is idempotent, so the healthy re-run
-    /// rewrites the same words over anything this shard already wrote.
-    fn serve_batches(
-        &mut self,
-        seq: u64,
-        plan: &CompiledPlan,
-        batches: &[PackedBatch],
-    ) -> Result<(UnitLedger, Result<(), NovaError>), String> {
+    /// A shard-fault verdict stops the unit mid-way: it is handed back
+    /// with its inputs intact for the requeue.
+    fn serve_batches(&mut self, unit: &mut WorkUnit) -> Outcome {
         let started = Instant::now();
+        let WorkUnit { seq, plan, batches } = unit;
+        if self.results.len() < batches.len() {
+            self.results.resize_with(batches.len(), FixedBatch::empty);
+        }
         let mut ledger = UnitLedger::default();
         let mut result = Ok(());
-        for pb in batches {
+        for (i, pb) in batches.iter().enumerate() {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.run_stages(plan, pb, &mut ledger)
             }));
@@ -1720,12 +1692,12 @@ impl Worker {
                     ledger.batches += 1;
                     ledger.queries += pb.len() as u64;
                     ledger.latency += plan.lookups * self.unit.latency_cycles();
-                    ledger.padded += (pb.inputs.len() - pb.len()) as u64;
-                    self.scatter(pb);
+                    ledger.padded += (pb.grid.len() - pb.len()) as u64;
+                    std::mem::swap(&mut self.scratch, &mut self.results[i]);
                     continue;
                 }
                 Ok(Ok(Some(lane))) => {
-                    return Err(format!(
+                    return Outcome::HandedBack(format!(
                         "shard worker {} canary mismatch at lane {lane} of work unit {seq}",
                         self.id
                     ))
@@ -1739,7 +1711,7 @@ impl Worker {
                         panic_message(payload.as_ref())
                     );
                     if self.armed {
-                        return Err(msg);
+                        return Outcome::HandedBack(msg);
                     }
                     NovaError::Runtime(msg)
                 }
@@ -1748,15 +1720,20 @@ impl Worker {
                 result = Err(failure);
             }
         }
+        if result.is_ok() {
+            for (pb, out) in batches.iter_mut().zip(&mut self.results) {
+                std::mem::swap(&mut pb.grid, out);
+            }
+        }
         ledger.busy_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        Ok((ledger, result))
+        Outcome::Served { ledger, result }
     }
 
     /// The stage interpreter: executes `plan` over one batch and leaves
     /// the result words in `scratch`. `Ok(Some(lane))` is a canary
     /// mismatch verdict.
     ///
-    /// A lookup reads the packed inputs (as the first stage) or
+    /// A lookup reads the packed grid (as the first stage) or
     /// `scratch`, re-programming the unit first when a different table
     /// is loaded; row ops rewrite `scratch` in place, one span (= one
     /// request row) at a time.
@@ -1767,7 +1744,7 @@ impl Worker {
         ledger: &mut UnitLedger,
     ) -> Result<Option<usize>, NovaError> {
         if !matches!(plan.stages[0], StageOp::Lookup { .. }) {
-            self.scratch.copy_from(&pb.inputs);
+            self.scratch.copy_from(&pb.grid);
         }
         let format = plan.format;
         for (i, op) in plan.stages.iter().enumerate() {
@@ -1778,7 +1755,7 @@ impl Worker {
                         ledger.table_switches += 1;
                         self.current = Some(*key);
                     }
-                    let src = if i == 0 { &pb.inputs } else { &self.scratch };
+                    let src = if i == 0 { &pb.grid } else { &self.scratch };
                     self.unit.lookup_batch_into(src, &mut self.pong)?;
                     let mismatch = lookup_fault_hook(
                         table,
@@ -1794,7 +1771,7 @@ impl Worker {
                 }
                 StageOp::MaxSubtract => {
                     let lanes = self.scratch.as_mut_slice();
-                    for (span, _) in &pb.spans {
+                    for span in &pb.spans {
                         row_max_subtract(&mut lanes[span.slots()], format);
                     }
                 }
@@ -1803,7 +1780,7 @@ impl Worker {
                     self.latch.clear();
                     self.latch.extend(lanes.iter().map(|x| x.raw()));
                     self.row_exps.clear();
-                    for (span, _) in &pb.spans {
+                    for span in &pb.spans {
                         let row = &mut lanes[span.slots()];
                         let red = row_sum_range_reduce(row, format);
                         // Zero-sum rows broadcast an in-domain
@@ -1816,7 +1793,7 @@ impl Worker {
                 }
                 StageOp::RangeScale => {
                     let lanes = self.scratch.as_mut_slice();
-                    for ((span, _), exp) in pb.spans.iter().zip(&self.row_exps) {
+                    for (span, exp) in pb.spans.iter().zip(&self.row_exps) {
                         let row = &mut lanes[span.slots()];
                         match *exp {
                             Some(e) => {
@@ -1838,23 +1815,6 @@ impl Worker {
             }
         }
         Ok(None)
-    }
-
-    /// Copies a served batch's result words from `scratch` to their
-    /// ticket rows: one copy per span.
-    fn scatter(&self, pb: &PackedBatch) {
-        let words = self.scratch.as_slice();
-        for &(span, dst) in &pb.spans {
-            let src = &words[span.slots()];
-            // SAFETY: `dst` addresses `span.len` words of a pre-sized
-            // ticket row that no other span touches and that outlives
-            // this flight (see `PackedBatch::spans`); `src` is worker
-            // scratch, so the ranges cannot overlap.
-            #[allow(unsafe_code)]
-            unsafe {
-                std::ptr::copy_nonoverlapping(src.as_ptr(), dst, span.len);
-            }
-        }
     }
 }
 
@@ -1918,6 +1878,7 @@ impl ServingEngine {
                 current: Some(tables[0].0),
                 scratch: FixedBatch::empty(),
                 pong: FixedBatch::empty(),
+                results: Vec::new(),
                 latch: Vec::new(),
                 row_exps: Vec::new(),
                 armed: fault_policy.is_some(),
@@ -2210,9 +2171,8 @@ impl ServingEngine {
     /// Latches a fatal pool failure and returns it as an error.
     ///
     /// Poisoning also tears the pool down (close feeds, join workers):
-    /// in-flight work units hold raw scatter pointers into ticket state
-    /// the caller may drop once it sees the error, so no worker may
-    /// outlive the latch.
+    /// a poisoned engine serves nothing further, so its threads are
+    /// reaped now rather than at drop.
     fn poison(&mut self, what: &str) -> NovaError {
         let msg = format!("serving engine poisoned: {what}");
         self.poisoned = Some(msg.clone());
@@ -2224,8 +2184,7 @@ impl ServingEngine {
     /// drain (and serve) what was already in their feed before exiting;
     /// their completion pushes always fit by the outstanding-cap
     /// invariant, so this never deadlocks. Units still queued in
-    /// `pending` are simply dropped — their scatter pointers are never
-    /// dereferenced.
+    /// `pending` are simply dropped.
     fn shutdown_pool(&mut self) {
         for link in &self.shards {
             link.feed.close();
@@ -2250,12 +2209,12 @@ impl ServingEngine {
     /// fixed-depth SPSC rings (backpressure, not unbounded queueing).
     /// Workers re-program their unit between runs of different
     /// activations, charging the per-kind switch stall to
-    /// [`WorkerLoad::switch_cycles`], and copy each span's result words
-    /// straight into its request's output row; completion is then just
-    /// a watermark advance, and the assembled outputs align with
-    /// `requests` — bit-identical to evaluating each query through its
-    /// table's [`QuantizedPwl::eval`] alone, for any worker count, any
-    /// run length and any activation interleaving.
+    /// [`WorkerLoad::switch_cycles`], and send each served unit back
+    /// with its result grids; the engine thread copies each span's
+    /// result words into its request's output row. The assembled
+    /// outputs align with `requests` — bit-identical to evaluating each
+    /// query through its table's [`QuantizedPwl::eval`] alone, for any
+    /// worker count, any run length and any activation interleaving.
     ///
     /// Equivalent to [`submit`](Self::submit) followed by blocking
     /// collection of the returned ticket.
@@ -2272,7 +2231,7 @@ impl ServingEngine {
     /// worker count. A failed slate counts no requests.
     pub fn serve(&mut self, requests: &[ServingRequest]) -> Result<Vec<Vec<Fixed>>, NovaError> {
         let ticket = self.submit(requests)?;
-        self.wait_ticket(ticket.0)
+        self.wait(ticket)
     }
 
     /// Admits a slate without blocking: packs it into sequence-numbered
@@ -2332,12 +2291,9 @@ impl ServingEngine {
             )?;
             layouts.push((layout, self.spans.len()));
         }
-        // Pre-size every output row to its final length (the fill value
-        // is the plan's pad, overwritten wherever evaluation succeeds):
-        // workers scatter result words straight into these rows, so a
-        // row must never grow — or move its heap — while the ticket is
-        // in flight.
-        let mut outputs: Vec<Vec<Fixed>> = requests
+        // Pre-size every output row to its final length: `route` copies
+        // each served span into its slice of the row.
+        let outputs: Vec<Vec<Fixed>> = requests
             .iter()
             .zip(&group_of)
             .map(|(request, &g)| vec![groups[g].pad; request.inputs.len()])
@@ -2356,7 +2312,7 @@ impl ServingEngine {
             while batches.peek().is_some() {
                 let mut unit = self.spare_units.pop().unwrap_or_default();
                 for batch in batches.by_ref().take(layout.unit_batches) {
-                    unit.push(self.fill_batch(plan.pad, batch, requests, &mut outputs));
+                    unit.push(self.fill_batch(plan.pad, batch, requests));
                 }
                 self.pending.push_back(WorkUnit {
                     seq: self.next_seq,
@@ -2376,15 +2332,13 @@ impl ServingEngine {
             jobs: usize::try_from(self.next_seq - base_seq).expect("unit count fits usize"),
             received: 0,
             outputs,
-            request_count: requests.len(),
             failure: None,
         });
         self.admit_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if let Err(e) = self.pump() {
             // The pool died mid-admission (and was torn down by the
-            // poison latch, so no worker holds this slate's scatter
-            // pointers): the caller gets the error, never the ticket —
-            // unregister the orphaned state (it was pushed last) so
+            // poison latch): the caller gets the error, never the ticket
+            // — unregister the orphaned state (it was pushed last) so
             // `drain`/`in_flight` don't report a submission the caller
             // has no handle to.
             self.inflight.pop();
@@ -2394,40 +2348,39 @@ impl ServingEngine {
     }
 
     /// Pops a recycled batch shell (minting one if the pool is dry) and
-    /// packs one batch into it: each span's request words into its grid
-    /// slots, the in-domain `pad` into the tail slots (their outputs are
-    /// never scattered), and each span's output destination.
+    /// packs one batch into it: its spans, each span's request words
+    /// into its grid slots, and the in-domain `pad` into the tail slots
+    /// (their outputs are never copied out).
     fn fill_batch(
         &mut self,
         pad: Fixed,
         spans: &[Span],
         requests: &[ServingRequest],
-        outputs: &mut [Vec<Fixed>],
     ) -> PackedBatch {
         let mut pb = self.spare_batches.pop().unwrap_or_else(|| {
             self.buffers_created += 1;
             PackedBatch {
-                inputs: FixedBatch::new(self.routers, self.neurons, pad),
+                grid: FixedBatch::new(self.routers, self.neurons, pad),
                 spans: Vec::new(),
             }
         });
-        for &span in spans {
-            pb.inputs.as_mut_slice()[span.slots()]
-                .copy_from_slice(&requests[span.request].inputs[span.queries()]);
-            let dst = outputs[span.request].as_mut_ptr().wrapping_add(span.offset);
-            pb.spans.push((span, dst));
-        }
+        pb.spans.extend_from_slice(spans);
         let len = pb.len();
-        pb.inputs.as_mut_slice()[len..].fill(pad);
+        let grid = pb.grid.as_mut_slice();
+        for span in spans {
+            grid[span.slots()].copy_from_slice(&requests[span.request].inputs[span.queries()]);
+        }
+        grid[len..].fill(pad);
         pb
     }
 
     /// Blocks until `ticket` finishes and returns its result — the
     /// single-ticket blocking collector ([`serve`](Self::serve) is
     /// submit + wait). Unlike spinning on
-    /// [`try_poll`](Self::try_poll), this parks on worker completions,
-    /// so waiting burns no CPU. Other in-flight tickets keep making
-    /// progress while this one is waited on.
+    /// [`try_poll`](Self::try_poll), this parks on the [`Doorbell`]
+    /// (arm → re-check → park, so no wakeup is missed) and burns no CPU.
+    /// Other in-flight tickets keep making progress while this one is
+    /// waited on.
     ///
     /// # Errors
     ///
@@ -2435,7 +2388,24 @@ impl ServingEngine {
     /// batch failure, an unknown/already-collected ticket, or the
     /// latched poison error.
     pub fn wait(&mut self, ticket: Ticket) -> Result<Vec<Vec<Fixed>>, NovaError> {
-        self.wait_ticket(ticket.0)
+        loop {
+            self.check_poisoned()?;
+            self.pump()?;
+            if let Some(outputs) = self.collect(ticket)? {
+                return Ok(outputs);
+            }
+            // An unfinished ticket either has units in flight (their
+            // completions ring the doorbell) or units pending behind a
+            // saturated shard (that shard has completions coming, which
+            // also ring) — so parking here can always be woken.
+            self.doorbell.arm();
+            if self.progress_ready() {
+                self.doorbell.disarm();
+                continue;
+            }
+            std::thread::park();
+            self.doorbell.disarm();
+        }
     }
 
     /// Collects `ticket` if it has finished, without blocking. `Ok(None)`
@@ -2451,18 +2421,7 @@ impl ServingEngine {
     pub fn try_poll(&mut self, ticket: Ticket) -> Result<Option<Vec<Vec<Fixed>>>, NovaError> {
         self.check_poisoned()?;
         self.pump()?;
-        let idx = self
-            .inflight
-            .iter()
-            .position(|t| t.id == ticket.0)
-            .ok_or_else(|| {
-                NovaError::Runtime(format!("unknown or already-collected ticket #{}", ticket.0))
-            })?;
-        if self.inflight[idx].received < self.inflight[idx].jobs {
-            return Ok(None);
-        }
-        let state = self.inflight.remove(idx);
-        self.finalize(state).map(Some)
+        self.collect(ticket)
     }
 
     /// Blocks until every in-flight ticket has finished and returns
@@ -2471,7 +2430,7 @@ impl ServingEngine {
     pub fn drain(&mut self) -> Vec<DrainedTicket> {
         let mut results = Vec::with_capacity(self.inflight.len());
         while let Some(id) = self.inflight.first().map(|t| t.id) {
-            let result = self.wait_ticket(id);
+            let result = self.wait(Ticket(id));
             results.push((Ticket(id), result));
             if let Some(msg) = self.poisoned.clone() {
                 // The pool is gone: the remaining tickets can never
@@ -2497,22 +2456,11 @@ impl ServingEngine {
     /// `submit`, `try_poll` and the blocking wait loop.
     fn pump(&mut self) -> Result<(), NovaError> {
         for s in 0..self.shards.len() {
-            while let Some(done) = self.shards[s].done.try_pop() {
-                let UnitDone {
-                    seq,
-                    worker,
-                    batches,
-                    outcome,
-                } = done;
-                self.shards[worker].outstanding -= 1;
+            while let Some(UnitDone { unit, outcome }) = self.shards[s].done.try_pop() {
+                self.shards[s].outstanding -= 1;
                 match outcome {
-                    Outcome::Served { ledger, result } => {
-                        self.route(seq, worker, batches, &ledger, result);
-                    }
-                    Outcome::HandedBack { verdict, plan } => {
-                        let unit = WorkUnit { seq, plan, batches };
-                        self.handle_fault(worker, unit, &verdict)?;
-                    }
+                    Outcome::Served { ledger, result } => self.route(s, unit, &ledger, result),
+                    Outcome::HandedBack(verdict) => self.handle_fault(s, unit, &verdict)?,
                 }
             }
             // A closed (and now drained) completion ring means its
@@ -2545,15 +2493,11 @@ impl ServingEngine {
             }
             match link.feed.try_push(unit) {
                 Ok(()) => link.outstanding += 1,
-                Err(PushError::Full(unit)) => {
-                    self.pending.push_front(unit);
-                    break;
-                }
-                Err(PushError::Closed(unit)) => {
-                    // The shard failed between the routing decision and
-                    // the push (its fault completion is in flight): park
-                    // the unit — the next pump quarantines the shard and
-                    // re-routes over the shrunken healthy set.
+                // Closed means the shard failed between the routing
+                // decision and the push (its fault completion is in
+                // flight): park the unit — the next pump quarantines the
+                // shard and re-routes over the shrunken healthy set.
+                Err(PushError::Full(unit) | PushError::Closed(unit)) => {
                     self.pending.push_front(unit);
                     break;
                 }
@@ -2594,11 +2538,10 @@ impl ServingEngine {
     }
 
     /// One handed-back unit from shard `s`: quarantines the shard (first
-    /// verdict only) and re-admits the unit — batches intact, plan
-    /// riding along — to the healthy routing set. Scatter is idempotent
-    /// (every span copies to a fixed destination), so the healthy
-    /// re-run lands bit-identically even if the faulty shard partially
-    /// scattered before its canary tripped.
+    /// verdict only) and re-admits the unit as it came back to the
+    /// healthy routing set. A worker swaps results into a unit only
+    /// after serving all of it, so the unit still carries its inputs
+    /// and the healthy re-run lands bit-identically.
     ///
     /// # Errors
     ///
@@ -2620,15 +2563,15 @@ impl ServingEngine {
         outcome
     }
 
-    /// Files one served unit with its in-flight ticket: rolls its
-    /// ledger into the worker's load, recycles the batch shells and
-    /// advances the ticket's watermark. (The result words were already
-    /// scattered in place by the worker.)
+    /// Files one unit served by shard `s` with its in-flight ticket:
+    /// rolls its ledger into the worker's load, copies a successful
+    /// unit's result spans into the ticket's rows (timed into
+    /// `finalize_ns`), recycles the batch shells and advances the
+    /// ticket's watermark.
     fn route(
         &mut self,
-        seq: u64,
-        worker: usize,
-        mut batches: Vec<PackedBatch>,
+        s: usize,
+        mut unit: WorkUnit,
         ledger: &UnitLedger,
         result: Result<(), NovaError>,
     ) {
@@ -2636,7 +2579,7 @@ impl ServingEngine {
         // later runs of that activation won't switch again — so the
         // ledger counts it even when the run's lookups then failed (only
         // the batch/query counters are conditional on success).
-        let load = &mut self.loads[worker];
+        let load = &mut self.loads[s];
         load.jobs += 1;
         load.batches += ledger.batches;
         load.queries += ledger.queries;
@@ -2645,26 +2588,38 @@ impl ServingEngine {
         load.switch_cycles += ledger.switch_cycles;
         load.busy_ns += ledger.busy_ns;
         self.padded_slots += ledger.padded;
-        // Success or failure, the shells return to the pools.
-        self.spare_batches.extend(batches.drain(..).map(|mut pb| {
-            pb.spans.clear();
-            pb
-        }));
-        self.spare_units.push(batches);
+        let seq = unit.seq;
         let idx = self
             .inflight
             .partition_point(|t| t.base_seq + t.jobs as u64 <= seq);
         let ticket = &mut self.inflight[idx];
-        if let Err(e) = result {
+        match result {
+            Ok(()) => {
+                let started = Instant::now();
+                for pb in &unit.batches {
+                    let words = pb.grid.as_slice();
+                    for span in &pb.spans {
+                        ticket.outputs[span.request][span.queries()]
+                            .copy_from_slice(&words[span.slots()]);
+                    }
+                }
+                self.finalize_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            }
             // Keep the lowest-sequence failure: sequence order is
             // submission order, so the reported error is deterministic
             // for any worker count and timing.
-            match &ticket.failure {
+            Err(e) => match &ticket.failure {
                 Some((first, _)) if *first <= seq => {}
                 _ => ticket.failure = Some((seq, e)),
-            }
+            },
         }
         ticket.received += 1;
+        // Success or failure, the shells return to the pools.
+        for mut pb in unit.batches.drain(..) {
+            pb.spans.clear();
+            self.spare_batches.push(pb);
+        }
+        self.spare_units.push(unit.batches);
     }
 
     /// True when `pump` could make progress right now: a completion is
@@ -2697,58 +2652,31 @@ impl ServingEngine {
         }
     }
 
-    /// Blocks until ticket `id` finishes, then finalizes it. Parks on
-    /// the doorbell while the pool works — the arm → re-check → park
-    /// protocol (see [`Doorbell`]) closes the missed-wakeup race.
-    fn wait_ticket(&mut self, id: u64) -> Result<Vec<Vec<Fixed>>, NovaError> {
-        loop {
-            self.check_poisoned()?;
-            self.pump()?;
-            let idx = self
-                .inflight
-                .iter()
-                .position(|t| t.id == id)
-                .ok_or_else(|| {
-                    NovaError::Runtime(format!("unknown or already-collected ticket #{id}"))
-                })?;
-            if self.inflight[idx].received == self.inflight[idx].jobs {
-                let state = self.inflight.remove(idx);
-                return self.finalize(state);
-            }
-            // An unfinished ticket either has units in flight (their
-            // completions ring the doorbell) or units pending behind a
-            // saturated shard (that shard has completions coming, which
-            // also ring) — so parking here can always be woken.
-            self.doorbell.arm();
-            if self.progress_ready() {
-                self.doorbell.disarm();
-                continue;
-            }
-            std::thread::park();
-            self.doorbell.disarm();
+    /// Removes and judges `ticket` once every unit of it is back
+    /// (`Ok(None)` before): `route` already copied every result word
+    /// into its pre-sized output rows.
+    fn collect(&mut self, ticket: Ticket) -> Result<Option<Vec<Vec<Fixed>>>, NovaError> {
+        let id = ticket.0;
+        let idx = self
+            .inflight
+            .iter()
+            .position(|t| t.id == id)
+            .ok_or_else(|| {
+                NovaError::Runtime(format!("unknown or already-collected ticket #{id}"))
+            })?;
+        if self.inflight[idx].received < self.inflight[idx].jobs {
+            return Ok(None);
         }
-    }
-
-    /// Completion bookkeeping for one finished ticket — a watermark
-    /// advance, not a reorder: the workers already scattered every
-    /// result word into the pre-sized output rows, so all that is left
-    /// is judging the slate.
-    fn finalize(&mut self, state: TicketState) -> Result<Vec<Vec<Fixed>>, NovaError> {
         let started = Instant::now();
-        let TicketState {
-            outputs,
-            request_count,
-            failure,
-            ..
-        } = state;
-        let verdict = match failure {
+        let state = self.inflight.remove(idx);
+        let verdict = match state.failure {
             Some((_, e)) => Err(e),
             None => {
                 // Only a fully served slate counts its requests: on an
                 // error the batch/query counters reflect the work that
                 // evaluated, but no request was answered in full.
-                self.requests_served += request_count as u64;
-                Ok(outputs)
+                self.requests_served += state.outputs.len() as u64;
+                Ok(Some(state.outputs))
             }
         };
         self.finalize_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -2830,9 +2758,8 @@ impl Drop for ServingEngine {
     fn drop(&mut self) {
         // Close the feed rings so worker loops exit (they first drain —
         // and serve — any queued units; the completion pushes fit by the
-        // outstanding-cap invariant), then reap the threads *before* the
-        // in-flight ticket states drop: live workers hold raw scatter
-        // pointers into them. Units still pending in the engine are
+        // outstanding-cap invariant), then reap the threads so none
+        // outlives its engine. Units still pending in the engine are
         // simply dropped.
         self.shutdown_pool();
     }

@@ -2,7 +2,7 @@
 //! request spans → work units.
 //!
 //! [`pack`] is the one place that decides the unit layout. Admission
-//! (`ServingEngine::submit`) fills its input grids and scatter map from
+//! (`ServingEngine::submit`) fills its input grids and span maps from
 //! the spans, and the analytic models
 //! ([`crate::engine::evaluate_multi_stream`] and
 //! [`crate::engine::evaluate_fused_softmax`]) count their batches and

@@ -249,6 +249,15 @@ pub fn validate_flat_shape(
     Ok(())
 }
 
+/// Refuses a batch holding a word outside `format` before any LUT or
+/// SDP core runs: a core checks only its own row.
+fn validate_formats(inputs: &FixedBatch, format: nova_fixed::QFormat) -> Result<(), NovaError> {
+    if inputs.as_slice().iter().any(|x| x.format() != format) {
+        return Err(nova_lut::LutError::FormatMismatch.into());
+    }
+    Ok(())
+}
+
 /// A batch-lookup vector unit: the functional contract shared by NOVA and
 /// the LUT baselines.
 ///
@@ -464,6 +473,7 @@ impl VectorUnit for LutVectorUnit {
     ) -> Result<(), NovaError> {
         let cores = self.per_neuron.len().max(self.per_core.len());
         validate_flat_shape(inputs, cores, self.neurons)?;
+        validate_formats(inputs, self.format)?;
         out.reset(cores, self.neurons, Fixed::zero(self.format));
         match self.variant {
             LutVariant::PerNeuron => {
@@ -560,6 +570,7 @@ impl VectorUnit for SdpVectorUnit {
         out: &mut FixedBatch,
     ) -> Result<(), NovaError> {
         validate_flat_shape(inputs, self.cores.len(), self.neurons)?;
+        validate_formats(inputs, self.format)?;
         out.reset(self.cores.len(), self.neurons, Fixed::zero(self.format));
         for (r, core) in self.cores.iter_mut().enumerate() {
             core.lookup_into(inputs.row(r), out.row_mut(r))?;
@@ -597,8 +608,10 @@ mod tests {
     use super::*;
     use crate::serving::{ServingEngine, TableKey};
     use nova_approx::{fit, Activation};
-    use nova_fixed::{Rounding, Q4_12};
+    use nova_fixed::{Rounding, Q4_12, Q6_10};
+    use nova_lut::{LutError, LutStats};
     use nova_noc::sim::BroadcastSim;
+    use nova_noc::NocError;
 
     fn table() -> QuantizedPwl {
         let pwl =
@@ -908,21 +921,46 @@ mod tests {
 
     #[test]
     fn flat_shape_mismatch_rejected_before_counters_move() {
+        // A mis-shaped batch, and one whose last word has the wrong
+        // format, are refused before any segment or core runs, on a line
+        // beyond reach: 3 NOVA segments, 12 LUT/SDP cores per kind.
         let t = table();
-        let wrong = batch(2, 8);
-        for kind in ApproximatorKind::all() {
-            let mut unit = build(kind, LineConfig::paper_default(3, 8), &t).unwrap();
+        let mut config = LineConfig::paper_default(12, 2);
+        config.max_hops_per_cycle = 4;
+        let mut wrong_format = batch(12, 2);
+        wrong_format.as_mut_slice()[23] = Fixed::from_f64(0.5, Q6_10, Rounding::NearestEven);
+        let mut nova = NovaVectorUnit::new(config, &t).unwrap();
+        let mut per_neuron = LutVectorUnit::new(&t, 12, 2, LutVariant::PerNeuron);
+        let mut per_core = LutVectorUnit::new(&t, 12, 2, LutVariant::PerCore);
+        let mut sdp = SdpVectorUnit::new(&t, 12, 2);
+        let segments = nova.noc.segments().to_vec();
+        let units: [&mut dyn VectorUnit; 4] = [&mut nova, &mut per_neuron, &mut per_core, &mut sdp];
+        for unit in units {
             let mut out = FixedBatch::empty();
+            let shape = unit.lookup_batch_into(&batch(2, 8), &mut out);
+            assert!(
+                matches!(shape, Err(NovaError::BatchShape(_))),
+                "{}: {shape:?}",
+                unit.name()
+            );
+            let format = unit.lookup_batch_into(&wrong_format, &mut out);
             assert!(
                 matches!(
-                    unit.lookup_batch_into(&wrong, &mut out),
-                    Err(NovaError::BatchShape(_))
+                    format,
+                    Err(NovaError::Noc(NocError::FormatMismatch)
+                        | NovaError::Lut(LutError::FormatMismatch))
                 ),
-                "{} accepted a mis-shaped flat batch",
+                "{}: {format:?}",
                 unit.name()
             );
             assert_eq!(unit.lookups(), 0, "{}", unit.name());
         }
+        assert_eq!(nova.noc.segment_count(), 3);
+        assert_eq!(nova.noc.segments(), segments, "a NOVA segment ran");
+        let mut cores = (per_neuron.per_neuron.iter().map(PerNeuronLut::stats))
+            .chain(per_core.per_core.iter().map(PerCoreLut::stats))
+            .chain(sdp.cores.iter().map(SdpUnit::stats));
+        assert!(cores.all(|s| s == LutStats::default()), "a core ran");
     }
 
     #[test]

@@ -139,7 +139,8 @@ impl SegmentedNoc {
     ///
     /// # Errors
     ///
-    /// Same shape/format validation as [`BroadcastSim::run_flat`].
+    /// Same shape/format validation as [`BroadcastSim::run_flat`], over
+    /// the whole batch before any segment runs.
     pub fn run_flat(
         &mut self,
         inputs: &[Fixed],
@@ -156,7 +157,7 @@ impl SegmentedNoc {
     ///
     /// # Errors
     ///
-    /// Same shape/format validation as [`BroadcastSim::run_flat`].
+    /// Same shape/format validation as [`run_flat`](Self::run_flat).
     pub fn run_flat_reference(
         &mut self,
         inputs: &[Fixed],
@@ -180,6 +181,13 @@ impl SegmentedNoc {
                 got: (inputs.len(), outputs.len()),
             });
         }
+        // Each segment checks only its own words, so a split line checks
+        // the whole batch first: a wrong word in a late segment must not
+        // leave the earlier ones run. One segment checks it all itself.
+        let format = self.table().format();
+        if self.segments.len() > 1 && inputs.iter().any(|x| x.format() != format) {
+            return Err(NocError::FormatMismatch);
+        }
         let mut stats = SimStats::default();
         let mut offset = 0;
         for (seg, &routers) in self.segments.iter_mut().zip(&self.split) {
@@ -202,7 +210,7 @@ impl SegmentedNoc {
 mod tests {
     use super::*;
     use nova_approx::{fit, Activation};
-    use nova_fixed::{Rounding, Q4_12};
+    use nova_fixed::{Rounding, Q4_12, Q6_10};
 
     fn table() -> QuantizedPwl {
         let pwl =
@@ -323,28 +331,35 @@ mod tests {
 
     #[test]
     fn shape_validation() {
-        // A wrong input length and a wrong output length are refused by
-        // both paths before any segment runs. Batch stats sum the
+        // A wrong input length, a wrong output length and a wrong-format
+        // word in the last segment are refused by both paths before any
+        // segment runs: no output slot is written. Batch stats sum the
         // routers' cumulative latch counters, so a first accepted batch
         // that reports a fresh NoC's stats proves no counter moved.
         let t = table();
-        let mut config = LineConfig::paper_default(4, 2);
-        config.max_hops_per_cycle = 3;
+        let mut config = LineConfig::paper_default(12, 2);
+        config.max_hops_per_cycle = 4;
         let mut noc = SegmentedNoc::new(config, &t).unwrap();
-        assert_eq!(noc.segment_count(), 2);
+        assert_eq!(noc.segment_count(), 3);
         let zero = Fixed::zero(Q4_12);
-        for got in [(7, 8), (8, 7)] {
-            let inputs = vec![zero; got.0];
-            let mut outputs = vec![zero; got.1];
-            let expect = Err(NocError::InputShape {
-                routers: 4,
-                neurons: 2,
-                got,
-            });
-            assert_eq!(noc.run_flat(&inputs, &mut outputs), expect);
-            assert_eq!(noc.run_flat_reference(&inputs, &mut outputs), expect);
+        let shape = |got| NocError::InputShape {
+            routers: 12,
+            neurons: 2,
+            got,
+        };
+        let mut wrong_format = batch(12, 2);
+        wrong_format[23] = Fixed::from_f64(0.5, Q6_10, Rounding::NearestEven);
+        for (inputs, out_len, expect) in [
+            (vec![zero; 23], 24, shape((23, 24))),
+            (vec![zero; 24], 23, shape((24, 23))),
+            (wrong_format, 24, NocError::FormatMismatch),
+        ] {
+            let mut outputs = vec![zero; out_len];
+            assert_eq!(noc.run_flat(&inputs, &mut outputs), Err(expect.clone()));
+            assert_eq!(noc.run_flat_reference(&inputs, &mut outputs), Err(expect));
+            assert!(outputs.iter().all(|&y| y == zero), "a slot was written");
         }
-        let inputs = batch(4, 2);
+        let inputs = batch(12, 2);
         let mut fresh = SegmentedNoc::new(config, &t).unwrap();
         assert_eq!(run(&mut noc, &inputs), run(&mut fresh, &inputs));
     }
