@@ -21,7 +21,6 @@
 //!   broadcast schedules and programs the NoC clock multiplier, checking
 //!   the SMART timing feasibility,
 //! - [`engine`]: per-inference runtime + energy (the Fig 8 evaluation),
-//!   plus the analytic multi-stream and fused-softmax serving models,
 //! - [`serving`]: the concurrent multi-tenant serving runtime — a
 //!   thread-shared keyed table cache and a builder-configured
 //!   worker-pool pipeline (admission → per-activation coalescing into
@@ -32,7 +31,9 @@
 //!   full vector-unit batches, bit-identically to sequential
 //!   evaluation for any worker count and activation interleaving, with
 //!   a blocking `serve` and a non-blocking `submit`/`try_poll`/`drain`
-//!   session surface.
+//!   session surface. The engine's own ledger (`stats`, `worker_loads`,
+//!   `makespan_cycles`) is the serving cycle model: batches, table
+//!   switches and stall cycles are counted as they are served.
 //!
 //! # Quickstart
 //!
@@ -71,7 +72,7 @@ pub mod spsc;
 pub mod timeline;
 pub mod vector_unit;
 
-pub use engine::{FusedSoftmaxReport, InferenceReport, MultiStreamReport};
+pub use engine::InferenceReport;
 pub use error::NovaError;
 pub use fused::EngineSoftmax;
 pub use mapper::{Mapper, MappingPlan};

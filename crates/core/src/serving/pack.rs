@@ -3,11 +3,7 @@
 //!
 //! [`pack`] is the one place that decides the unit layout. Admission
 //! (`ServingEngine::submit`) fills its input grids and span maps from
-//! the spans, and the analytic models
-//! ([`crate::engine::evaluate_multi_stream`] and
-//! [`crate::engine::evaluate_fused_softmax`]) count their batches and
-//! deal their units from the same [`Layout`], so the models and the
-//! runtime cannot drift apart.
+//! the spans and cuts the batches into units of the [`Layout`]'s `K`.
 //!
 //! The plan picks one of two packing rules:
 //!
@@ -69,16 +65,6 @@ pub(crate) struct Layout {
     /// `K`: consecutive batches per work unit; only the group's last
     /// unit may carry fewer.
     pub(crate) unit_batches: usize,
-}
-
-impl Layout {
-    /// Batches per work unit, in dispatch order: `K` each, and whatever
-    /// is left in the group's last unit.
-    pub(crate) fn units(self) -> impl Iterator<Item = usize> {
-        (0..self.batches)
-            .step_by(self.unit_batches)
-            .map(move |start| (self.batches - start).min(self.unit_batches))
-    }
 }
 
 /// Packs one plan group into `capacity`-slot batches and picks its
@@ -162,10 +148,8 @@ pub(crate) fn pack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::evaluate_fused_softmax;
     use crate::serving::{Plan, ServingEngine, ServingRequest, TableCache, TableKey};
     use crate::ApproximatorKind;
-    use nova_accel::config::AcceleratorConfig;
     use nova_approx::Activation;
     use nova_fixed::rng::StdRng;
     use nova_fixed::{Fixed, Rounding, Q4_12};
@@ -334,21 +318,18 @@ mod tests {
 
     /// The property: for any mixed single/fused ragged slate and any
     /// shard count, the engine dispatches exactly the layout `pack`
-    /// describes — batches, units (`jobs`) and padded slots — and the
-    /// analytic fused model counts the same batches.
+    /// describes — batches, units (`jobs`) and padded slots — and deals
+    /// the units round-robin by sequence number, so worker `w` serves
+    /// `units / shards` of them, plus one if `w < units % shards`.
     #[test]
     fn layout_matches_what_the_engine_dispatched() {
         let (routers, neurons) = (2usize, 5usize);
         let capacity = routers * neurons;
         let gelu = TableKey::paper(Activation::Gelu);
         let softmax = Plan::fused_softmax(Q4_12, Rounding::NearestEven);
-        let host = AcceleratorConfig {
-            nova_routers: routers,
-            neurons_per_router: neurons,
-            ..AcceleratorConfig::tpu_v4_like()
-        };
         let cache = TableCache::new();
         let mut rng = StdRng::seed_from_u64(0x9AC4);
+        let mut fat_units = false;
         for round in 0..6 {
             let requests: Vec<ServingRequest> = (0..rng.gen_range(1usize..14))
                 .map(|stream| {
@@ -364,7 +345,7 @@ mod tests {
                 })
                 .collect();
             let queries: usize = requests.iter().map(|r| r.inputs.len()).sum();
-            for shards in [1usize, 2, 4] {
+            for shards in [1usize, 2, 3, 4] {
                 let mut engine = ServingEngine::builder(ApproximatorKind::NovaNoc)
                     .line(LineConfig::paper_default(routers, neurons))
                     .cache(&cache)
@@ -392,17 +373,7 @@ mod tests {
                     .unwrap();
                     batches += layout.batches;
                     units += layout.batches.div_ceil(layout.unit_batches);
-                    if fused && layout.batches > 0 {
-                        let rows: Vec<u64> = requests
-                            .iter()
-                            .filter(|r| r.plan.is_fused())
-                            .map(|r| r.inputs.len() as u64)
-                            .collect();
-                        let model =
-                            evaluate_fused_softmax(&host, &rows, ApproximatorKind::NovaNoc, shards)
-                                .unwrap();
-                        assert_eq!(model.batches, layout.batches as u64, "round {round}");
-                    }
+                    fat_units |= layout.unit_batches > 1;
                 }
                 assert_eq!(
                     engine.serve(&requests).unwrap(),
@@ -417,7 +388,13 @@ mod tests {
                     (batches * capacity - queries) as u64,
                     "{label}"
                 );
+                let dealt: Vec<u64> = engine.worker_loads().iter().map(|l| l.jobs).collect();
+                let round_robin: Vec<u64> = (0..shards)
+                    .map(|w| (units / shards + usize::from(w < units % shards)) as u64)
+                    .collect();
+                assert_eq!(dealt, round_robin, "{label}");
             }
         }
+        assert!(fat_units, "no slate packed a unit of more than one batch");
     }
 }

@@ -147,7 +147,7 @@ impl QFormat {
         }
         let scaled = value * self.scale() as f64;
         let rounded = match rounding {
-            Rounding::NearestEven => round_ties_even(scaled),
+            Rounding::NearestEven => scaled.round_ties_even(),
             Rounding::NearestAway => scaled.round(),
             Rounding::Floor => scaled.floor(),
         };
@@ -178,21 +178,6 @@ impl QFormat {
 impl fmt::Display for QFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Q{}.{}", self.int_bits(), self.frac_bits)
-    }
-}
-
-/// `f64::round_ties_even` replacement to keep MSRV flexibility explicit.
-fn round_ties_even(x: f64) -> f64 {
-    let r = x.round();
-    if (x - x.trunc()).abs() == 0.5 {
-        // Tie: pick the even neighbour.
-        if r % 2.0 == 0.0 {
-            r
-        } else {
-            r - (r - x).signum()
-        }
-    } else {
-        r
     }
 }
 

@@ -14,9 +14,8 @@
 //!   substituted by a synthetic classification task whose logits flow
 //!   through the *identical* exact-vs-approximated softmax code path
 //!   (DESIGN.md documents the substitution).
-//! - [`traffic`]: seeded mixed-traffic generator — interleaved
-//!   BERT/CNN/synthetic request streams for the multi-stream serving
-//!   engine.
+//! - [`traffic`]: seeded query streams (`f64` values or fixed-point
+//!   words) that drive the serving engine with concrete inputs.
 //!
 //! # Example
 //!

@@ -7,22 +7,20 @@
 //! Walks the op-graph serving path top to bottom: the fused plan
 //! itself, `EngineSoftmax` rows vs the exact softmax, a real encoder
 //! layer scoring its attention through the engine via the
-//! `SoftmaxOffload` backend hook, and the per-kind switch ledger on the
-//! same fused trace.
+//! `SoftmaxOffload` backend hook, and the per-kind switch ledger of a
+//! functional 2-shard engine serving the same rows.
 //!
 //! Run with: `cargo run --example fused_softmax`
 
-use nova_repro::accel::AcceleratorConfig;
 use nova_repro::approx::softmax::softmax_exact;
-use nova_repro::engine::evaluate_fused_softmax;
 use nova_repro::fixed::rng::StdRng;
+use nova_repro::fixed::{Fixed, Rounding, Q4_12};
 use nova_repro::noc::LineConfig;
-use nova_repro::serving::{Plan, TableCache};
+use nova_repro::serving::{Plan, ServingEngine, ServingRequest, TableCache};
 use nova_repro::workloads::attention::{
     max_deviation, EncoderLayer, ExactBackend, Matrix, NonLinearBackend, PwlBackend,
 };
 use nova_repro::workloads::bert::BertConfig;
-use nova_repro::workloads::traffic::TrafficMix;
 use nova_repro::{ApproximatorKind, EngineSoftmax};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,11 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    two of them table lookups (exp, then reciprocal) — so every
     //    batch re-programs the vector unit mid-flight.
     let cache = TableCache::new();
-    let soft = EngineSoftmax::new(
-        ApproximatorKind::NovaNoc,
-        LineConfig::paper_default(2, 8),
-        &cache,
-    )?;
+    let line = LineConfig::paper_default(2, 8);
+    let soft = EngineSoftmax::new(ApproximatorKind::NovaNoc, line, &cache)?;
     let plan: &Plan = soft.plan();
     println!(
         "Fused plan: {} stages over {} table lookup(s), max row {} lanes",
@@ -97,24 +92,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.switch_cycles
     );
 
-    // 4. The per-kind switch ledger on the traffic generator's
-    //    fused-attention trace: same rows, same batches — only the NoC
+    // 4. The per-kind switch ledger, read off functional engines: the
+    //    rows of step 2 on a fresh 2-shard engine of each kind pack into
+    //    the same batches and switch tables as often — only the NoC
     //    broadcasts its way out of the re-programming bill.
-    let host = AcceleratorConfig::tpu_v4_like();
-    let trace = TrafficMix::fused_attention(8).fused_rows_slate();
-    println!(
-        "\nFused-attention trace ({} attention rows) per kind:",
-        trace.len()
-    );
+    let requests: Vec<ServingRequest> = rows
+        .iter()
+        .enumerate()
+        .map(|(stream, row)| {
+            let words = row
+                .iter()
+                .map(|&x| Fixed::from_f64(x, Q4_12, Rounding::NearestEven))
+                .collect();
+            ServingRequest::new(stream, plan.clone(), words)
+        })
+        .collect();
+    println!("\nThe {} rows on a 2-shard engine per kind:", rows.len());
     for kind in ApproximatorKind::all() {
-        let r = evaluate_fused_softmax(&host, &trace, kind, 2)?;
+        let mut engine = ServingEngine::builder(kind)
+            .line(line)
+            .cache(&cache)
+            .plan(plan)
+            .shards(2)
+            .build()?;
+        engine.serve(&requests)?;
+        let stats = engine.stats();
+        assert_eq!(
+            stats.switch_cycles == 0,
+            kind == ApproximatorKind::NovaNoc,
+            "only the NoC re-programs for free"
+        );
         println!(
-            "  {:<28} {} batches, {} switches, switch overhead {:>8.2}%, {:.3e} lanes/s",
-            r.approximator,
-            r.batches,
-            r.table_switches,
-            r.switch_overhead_pct,
-            r.queries_per_second
+            "  {:<28} {} batches, {} switches, {:>3} stall cycles, makespan {} cycles",
+            kind.label(),
+            stats.batches,
+            stats.table_switches,
+            stats.switch_cycles,
+            engine.makespan_cycles()
         );
     }
 

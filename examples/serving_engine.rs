@@ -7,22 +7,23 @@
 //! with two resident tables (GELU + softmax-exp) whose admission stage
 //! coalesces eight tenants' bursts into full `(routers × neurons)`
 //! batches per activation run and feeds them to four shard worker
-//! threads over bounded channels, workers re-programming their unit
+//! threads over SPSC rings, workers re-programming their unit
 //! between runs (`VectorUnit::switch_table` — free on NOVA, a bank
 //! rewrite on LUT/SDP), reorder/scatter that is bit-identical to
-//! dedicated sequential evaluation, the non-blocking session surface
-//! (`submit` → `try_poll`/`drain`), and the analytic multi-stream
-//! report over a seeded mixed-activation BERT/CNN/synthetic trace.
+//! dedicated sequential evaluation, the engine's own cycle ledger
+//! (occupancy, queries/s, per-worker batches, table switches and
+//! makespan), and the non-blocking session surface (`submit` →
+//! `try_poll`/`drain`).
 //!
 //! Run with: `cargo run --example serving_engine`
 
 use nova_repro::accel::AcceleratorConfig;
 use nova_repro::approx::Activation;
-use nova_repro::engine::{evaluate_multi_stream, ApproximatorKind};
+use nova_repro::engine::ApproximatorKind;
 use nova_repro::fixed::{Rounding, Q4_12};
 use nova_repro::serving::{gather_by_stream, ServingEngine, ServingRequest, TableCache, TableKey};
 use nova_repro::synth::TechModel;
-use nova_repro::workloads::traffic::{query_words_into, TrafficMix};
+use nova_repro::workloads::traffic::query_words_into;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = TechModel::cmos22();
@@ -139,26 +140,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.in_flight()
     );
 
-    // 5. The analytic view over a seeded mixed-activation traffic trace.
-    let slate = TrafficMix::mixed_activations(8).census_slate();
-    let report = evaluate_multi_stream(&tech, &host, &slate, ApproximatorKind::NovaNoc, 4)?;
-    println!(
-        "\nMixed traffic (8 streams, {} requests, {} activations, {} workers): {} queries \
-         → {} batches vs {} naive (occupancy {:.2}%, NL speedup {:.3}x, {} switches for \
-         {} stall cycles, NL makespan {} of {} serial cycles, {:.1} inferences/s)",
-        report.requests,
-        report.activations,
-        report.workers,
-        report.total_queries,
-        report.coalesced_batches,
-        report.naive_batches,
-        report.batch_occupancy_pct,
-        report.nl_speedup,
-        report.table_switches,
-        report.switch_cycles,
-        report.makespan_nl_cycles,
-        report.nl_cycles,
-        report.inferences_per_second
-    );
     Ok(())
 }
