@@ -114,7 +114,8 @@ pub fn host_power_mw(tech: &TechModel, config: &AcceleratorConfig) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`NovaError::BatchShape`] for a zero sequence length.
+/// Returns [`NovaError::BatchShape`] for a zero sequence length or a host
+/// without neurons (see [`evaluate_census`]).
 pub fn evaluate(
     config: &AcceleratorConfig,
     model: &BertConfig,
@@ -136,7 +137,8 @@ pub fn evaluate(
 ///
 /// # Errors
 ///
-/// Propagates [`evaluate_census`] failures.
+/// Returns [`NovaError::BatchShape`] for a host without neurons (see
+/// [`evaluate_census`]).
 pub fn evaluate_cnn(
     config: &AcceleratorConfig,
     model: &nova_workloads::cnn::CnnConfig,
@@ -151,8 +153,8 @@ pub fn evaluate_cnn(
 ///
 /// # Errors
 ///
-/// Currently infallible for well-formed censuses; returns [`NovaError`]
-/// for future host-specific validation.
+/// Returns [`NovaError::BatchShape`] when `config` has no NOVA routers or
+/// no neurons per router, since its vector unit could serve no batch.
 pub fn evaluate_census(
     tech: &TechModel,
     config: &AcceleratorConfig,
@@ -161,6 +163,12 @@ pub fn evaluate_census(
     ops: &OpCensus,
     kind: ApproximatorKind,
 ) -> Result<InferenceReport, NovaError> {
+    if config.total_neurons() == 0 {
+        return Err(NovaError::BatchShape(format!(
+            "{} has {} NOVA routers of {} neurons each; a batch needs at least one neuron",
+            config.name, config.nova_routers, config.neurons_per_router
+        )));
+    }
     let mm: MatmulRuntime = matmul_runtime(config, ops, Dataflow::OutputStationary);
     let queries = ops.approximator_queries();
     let neurons = config.total_neurons() as u64;
@@ -286,6 +294,34 @@ mod tests {
     fn zero_seq_len_rejected() {
         let cfg = AcceleratorConfig::react();
         assert!(evaluate(&cfg, &BertConfig::bert_tiny(), 0, ApproximatorKind::NovaNoc).is_err());
+    }
+
+    #[test]
+    fn zero_neuron_host_is_an_error_not_a_panic() {
+        let tech = TechModel::cmos22();
+        let model = BertConfig::bert_tiny();
+        let ops = census(&model, 128);
+        let cnn = &nova_workloads::cnn::CnnConfig::table1_models()[0];
+        let kind = ApproximatorKind::NovaNoc;
+        for cfg in [
+            AcceleratorConfig {
+                neurons_per_router: 0,
+                ..AcceleratorConfig::tpu_v4_like()
+            },
+            AcceleratorConfig {
+                nova_routers: 0,
+                ..AcceleratorConfig::tpu_v4_like()
+            },
+        ] {
+            let results = [
+                evaluate(&cfg, &model, 128, kind),
+                evaluate_cnn(&cfg, cnn, kind),
+                evaluate_census(&tech, &cfg, model.name, 128, &ops, kind),
+            ];
+            for r in results {
+                assert!(matches!(r, Err(NovaError::BatchShape(_))), "{r:?}");
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,14 @@ use crate::{FixedError, QFormat, Rounding};
 /// units use; mixed-format operations are an error rather than an implicit
 /// conversion.
 ///
+/// The raw word is stored as an `i32`, so a `Fixed` is 8 bytes: every
+/// batch grid, request and result row the serving engine copies moves half
+/// the bytes an `i64` word would. The narrowing is exact, because
+/// [`QFormat::new`] refuses formats wider than 32 bits and every
+/// constructor saturates or range-checks into its format before it stores
+/// the word. [`raw`](Self::raw) still returns `i64`, and all arithmetic
+/// runs in `i64` before the result is saturated back into the format.
+///
 /// # Example
 ///
 /// ```
@@ -31,9 +39,11 @@ use crate::{FixedError, QFormat, Rounding};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fixed {
-    raw: i64,
+    raw: i32,
     format: QFormat,
 }
+
+const _: () = assert!(std::mem::size_of::<Fixed>() == 8);
 
 impl Fixed {
     /// Zero in the given format.
@@ -45,17 +55,14 @@ impl Fixed {
     /// One in the given format (saturated if 1.0 is out of range).
     #[must_use]
     pub fn one(format: QFormat) -> Self {
-        Self {
-            raw: format.saturate_raw(format.scale()),
-            format,
-        }
+        Self::from_raw_saturating(format.scale(), format)
     }
 
     /// Quantizes `value` into `format`, saturating out-of-range inputs.
     #[must_use]
     pub fn from_f64(value: f64, format: QFormat, rounding: Rounding) -> Self {
         Self {
-            raw: format.quantize(value, rounding),
+            raw: format.quantize(value, rounding) as i32,
             format,
         }
     }
@@ -68,7 +75,10 @@ impl Fixed {
     /// format's word.
     pub fn from_raw(raw: i64, format: QFormat) -> Result<Self, FixedError> {
         if format.contains_raw(raw) {
-            Ok(Self { raw, format })
+            Ok(Self {
+                raw: raw as i32,
+                format,
+            })
         } else {
             Err(FixedError::RawOutOfRange { raw, format })
         }
@@ -79,7 +89,7 @@ impl Fixed {
     #[must_use]
     pub fn from_raw_saturating(raw: i64, format: QFormat) -> Self {
         Self {
-            raw: format.saturate_raw(raw),
+            raw: format.saturate_raw(raw) as i32,
             format,
         }
     }
@@ -88,7 +98,7 @@ impl Fixed {
     #[inline]
     #[must_use]
     pub fn raw(self) -> i64 {
-        self.raw
+        i64::from(self.raw)
     }
 
     /// The value's format.
@@ -101,7 +111,7 @@ impl Fixed {
     /// Converts to `f64` exactly (every fixed-point word is representable).
     #[must_use]
     pub fn to_f64(self) -> f64 {
-        self.raw as f64 * self.format.resolution()
+        f64::from(self.raw) * self.format.resolution()
     }
 
     /// Re-quantizes into another format.
@@ -121,10 +131,10 @@ impl Fixed {
     /// differ.
     pub fn saturating_add(self, rhs: Self) -> Result<Self, FixedError> {
         self.check_format(rhs)?;
-        Ok(Self {
-            raw: self.format.saturate_raw(self.raw + rhs.raw),
-            format: self.format,
-        })
+        Ok(Self::from_raw_saturating(
+            self.raw() + rhs.raw(),
+            self.format,
+        ))
     }
 
     /// Saturating subtraction.
@@ -135,10 +145,10 @@ impl Fixed {
     /// differ.
     pub fn saturating_sub(self, rhs: Self) -> Result<Self, FixedError> {
         self.check_format(rhs)?;
-        Ok(Self {
-            raw: self.format.saturate_raw(self.raw - rhs.raw),
-            format: self.format,
-        })
+        Ok(Self::from_raw_saturating(
+            self.raw() - rhs.raw(),
+            self.format,
+        ))
     }
 
     /// Saturating multiplication with a single rounding step, as a hardware
@@ -150,12 +160,9 @@ impl Fixed {
     /// differ.
     pub fn saturating_mul(self, rhs: Self, rounding: Rounding) -> Result<Self, FixedError> {
         self.check_format(rhs)?;
-        let wide = self.raw * rhs.raw; // ≤ 64 bits for ≤ 32-bit words
+        let wide = self.raw() * rhs.raw(); // ≤ 64 bits for ≤ 32-bit words
         let raw = shift_round(wide, self.format.frac_bits(), rounding);
-        Ok(Self {
-            raw: self.format.saturate_raw(raw),
-            format: self.format,
-        })
+        Ok(Self::from_raw_saturating(raw, self.format))
     }
 
     /// Fused multiply-add `self * x + b` with one rounding step at the end,
@@ -173,7 +180,7 @@ impl Fixed {
         self.check_format(x)?;
         self.check_format(b)?;
         Ok(Self {
-            raw: Self::mul_add_raw(self.raw, x.raw, b.raw, self.format, rounding),
+            raw: Self::mul_add_raw(self.raw(), x.raw(), b.raw(), self.format, rounding) as i32,
             format: self.format,
         })
     }
@@ -205,10 +212,7 @@ impl Fixed {
     /// Saturating negation (`-min_raw` saturates to `max_raw`).
     #[must_use]
     pub fn saturating_neg(self) -> Self {
-        Self {
-            raw: self.format.saturate_raw(-self.raw),
-            format: self.format,
-        }
+        Self::from_raw_saturating(-self.raw(), self.format)
     }
 
     /// Absolute value, saturating for the most-negative word.
@@ -358,6 +362,66 @@ mod tests {
     fn from_raw_rejects_out_of_range() {
         assert!(Fixed::from_raw(40_000, Q4_12).is_err());
         assert!(Fixed::from_raw(32_767, Q4_12).is_ok());
+    }
+
+    #[test]
+    fn thirty_two_bit_words_survive_the_narrow_raw_field() {
+        // The model keeps every word in `i64` and saturates with
+        // `QFormat::saturate_raw`; the `i32` field must reproduce it.
+        let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        let roundings = [
+            Rounding::Floor,
+            Rounding::NearestAway,
+            Rounding::NearestEven,
+        ];
+        for q in [QFormat::new(32, 0).unwrap(), QFormat::new(32, 16).unwrap()] {
+            assert_eq!((q.min_raw(), q.max_raw()), (lo, hi), "{q}");
+            for raw in [lo, hi] {
+                assert_eq!(Fixed::from_raw(raw, q).unwrap().raw(), raw, "{q}");
+            }
+            assert!(matches!(
+                Fixed::from_raw(hi + 1, q),
+                Err(FixedError::RawOutOfRange { raw, .. }) if raw == hi + 1
+            ));
+            assert_eq!(Fixed::from_raw_saturating(i64::MAX, q).raw(), hi, "{q}");
+            assert_eq!(Fixed::from_raw_saturating(i64::MIN, q).raw(), lo, "{q}");
+            assert_eq!(Fixed::from_f64(1e12, q, Rounding::NearestEven).raw(), hi);
+            assert_eq!(Fixed::from_f64(-1e12, q, Rounding::NearestEven).raw(), lo);
+            assert_eq!(Fixed::one(q).raw(), q.saturate_raw(q.scale()), "{q}");
+
+            let frac = q.frac_bits();
+            let words = [lo, lo + 1, -1, 0, 1, hi - 1, hi];
+            let fixed = |raw: i64| Fixed::from_raw(raw, q).unwrap();
+            for a in words {
+                let fa = fixed(a);
+                assert_eq!(fa.saturating_neg().raw(), q.saturate_raw(-a), "{q} -{a}");
+                assert_eq!(
+                    fa.saturating_abs().raw(),
+                    q.saturate_raw(a.abs()),
+                    "{q} |{a}|"
+                );
+                assert_eq!(fa.to_f64(), a as f64 * q.resolution(), "{q} {a}");
+                for b in words {
+                    let fb = fixed(b);
+                    let sum = fa.saturating_add(fb).unwrap();
+                    assert_eq!(sum.raw(), q.saturate_raw(a + b), "{q} {a}+{b}");
+                    let diff = fa.saturating_sub(fb).unwrap();
+                    assert_eq!(diff.raw(), q.saturate_raw(a - b), "{q} {a}-{b}");
+                    assert_eq!(fa.compare(fb).unwrap(), a.cmp(&b), "{q} {a}<=>{b}");
+                    for r in roundings {
+                        let prod = fa.saturating_mul(fb, r).unwrap();
+                        let want = q.saturate_raw(shift_round(a * b, frac, r));
+                        assert_eq!(prod.raw(), want, "{q} {a}*{b} {r:?}");
+                        for c in words {
+                            let fused = fa.mul_add(fb, fixed(c), r).unwrap();
+                            let wide = a * b + (c << frac);
+                            let want = q.saturate_raw(shift_round(wide, frac, r));
+                            assert_eq!(fused.raw(), want, "{q} {a}*{b}+{c} {r:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
