@@ -18,5 +18,4 @@
 //! | `ablation` | ablations: broadcast width, fitting strategy, word format, DVFS, switch cost |
 //! | `timeline` | §I — per-layer timeline and the non-linear share of runtime |
 
-pub mod harness;
 pub mod table;

@@ -114,8 +114,9 @@ pub fn host_power_mw(tech: &TechModel, config: &AcceleratorConfig) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`NovaError::BatchShape`] for a zero sequence length or a host
-/// without neurons (see [`evaluate_census`]).
+/// Returns [`NovaError::BatchShape`] for a zero sequence length, a host
+/// without neurons or a host whose clock is not positive and finite (see
+/// [`evaluate_census`]).
 pub fn evaluate(
     config: &AcceleratorConfig,
     model: &BertConfig,
@@ -137,8 +138,8 @@ pub fn evaluate(
 ///
 /// # Errors
 ///
-/// Returns [`NovaError::BatchShape`] for a host without neurons (see
-/// [`evaluate_census`]).
+/// Returns [`NovaError::BatchShape`] for a host without neurons or a
+/// host whose clock is not positive and finite (see [`evaluate_census`]).
 pub fn evaluate_cnn(
     config: &AcceleratorConfig,
     model: &nova_workloads::cnn::CnnConfig,
@@ -154,7 +155,9 @@ pub fn evaluate_cnn(
 /// # Errors
 ///
 /// Returns [`NovaError::BatchShape`] when `config` has no NOVA routers or
-/// no neurons per router, since its vector unit could serve no batch.
+/// no neurons per router, since its vector unit could serve no batch,
+/// and when its `frequency_mhz` is not positive and finite, since every
+/// cycle count is divided by it.
 pub fn evaluate_census(
     tech: &TechModel,
     config: &AcceleratorConfig,
@@ -167,6 +170,12 @@ pub fn evaluate_census(
         return Err(NovaError::BatchShape(format!(
             "{} has {} NOVA routers of {} neurons each; a batch needs at least one neuron",
             config.name, config.nova_routers, config.neurons_per_router
+        )));
+    }
+    if !(config.frequency_mhz.is_finite() && config.frequency_mhz > 0.0) {
+        return Err(NovaError::BatchShape(format!(
+            "{} is clocked at {} MHz; a batch needs a positive, finite clock",
+            config.name, config.frequency_mhz
         )));
     }
     let mm: MatmulRuntime = matmul_runtime(config, ops, Dataflow::OutputStationary);
@@ -279,7 +288,7 @@ mod tests {
 
     #[test]
     fn sdp_pays_its_deeper_pipeline() {
-        // The cost model must agree with the functional SdpVectorUnit:
+        // The cost model must agree with the vector unit's SDP latency:
         // 3 cycles per batch vs 2 for NOVA/LUTs.
         let cfg = AcceleratorConfig::jetson_xavier_nx();
         let m = BertConfig::mobilebert_tiny();
@@ -303,7 +312,7 @@ mod tests {
         let ops = census(&model, 128);
         let cnn = &nova_workloads::cnn::CnnConfig::table1_models()[0];
         let kind = ApproximatorKind::NovaNoc;
-        for cfg in [
+        let hosts = [
             AcceleratorConfig {
                 neurons_per_router: 0,
                 ..AcceleratorConfig::tpu_v4_like()
@@ -312,7 +321,13 @@ mod tests {
                 nova_routers: 0,
                 ..AcceleratorConfig::tpu_v4_like()
             },
-        ] {
+        ];
+        // A host without a usable clock is refused the same way.
+        let clocks = [0.0, -1.0, f64::NAN].map(|frequency_mhz| AcceleratorConfig {
+            frequency_mhz,
+            ..AcceleratorConfig::tpu_v4_like()
+        });
+        for cfg in hosts.into_iter().chain(clocks) {
             let results = [
                 evaluate(&cfg, &model, 128, kind),
                 evaluate_cnn(&cfg, cnn, kind),

@@ -13,8 +13,9 @@
 //!
 //! This crate is the top of the reproduction stack:
 //!
-//! - [`VectorUnit`]: one trait over the NOVA NoC and the LUT baselines —
-//!   identical functional results, different latency/cost semantics,
+//! - [`VectorUnit`]: the batch-lookup contract, served for every
+//!   approximator kind by one [`vector_unit::Unit`] — one batch kernel,
+//!   with each kind's latency and switch stall a closed form,
 //! - [`NovaOverlay`]: attach a NOVA NoC to a Table II accelerator config
 //!   (Fig 5) and cost it with the 22 nm model,
 //! - [`Mapper`]: the §IV software mapper — compiles activation tables into
@@ -83,6 +84,4 @@ pub use serving::{
     ServingEngine, ServingRequest, ServingStats, StageTimes, TableCache, TableKey, Ticket,
     WorkerLoad,
 };
-pub use vector_unit::{
-    ApproximatorKind, LutVariant, LutVectorUnit, NovaVectorUnit, SdpVectorUnit, VectorUnit,
-};
+pub use vector_unit::{ApproximatorKind, VectorUnit};

@@ -2,14 +2,15 @@
 
 use nova_accel::{config::AcceleratorConfig, integrate};
 use nova_approx::QuantizedPwl;
-use nova_noc::{LineConfig, LinkConfig};
+use nova_noc::{BroadcastSchedule, LineConfig, LinkConfig};
 use nova_synth::{timing, units, AreaPower, LutSharing, TechModel};
 
-use crate::vector_unit::{self, ApproximatorKind};
-use crate::{NovaError, NovaVectorUnit, VectorUnit};
+use crate::vector_unit::{self, ApproximatorKind, Unit};
+use crate::{NovaError, VectorUnit};
 
 /// A NOVA NoC attached to a host accelerator: geometry from the Fig 5
-/// adapter, cost from the 22 nm model, function from the NoC simulator.
+/// adapter, cost from the 22 nm model, function from the shared
+/// [`vector_unit::Unit`].
 #[derive(Debug, Clone)]
 pub struct NovaOverlay {
     config: AcceleratorConfig,
@@ -61,21 +62,19 @@ impl NovaOverlay {
     }
 
     /// Builds the functional NOVA vector unit for `table` (typed; the
-    /// NoC is what the overlay attaches). The line segments beyond the
-    /// SMART reach, exactly as [`unit`](Self::unit) with
+    /// NoC is what the overlay attaches), on the line whose reach the
+    /// table's flit count sets, exactly as [`unit`](Self::unit) with
     /// [`ApproximatorKind::NovaNoc`] does.
     ///
     /// # Errors
     ///
-    /// Propagates NoC construction errors.
-    pub fn vector_unit(
-        &self,
-        tech: &TechModel,
-        table: &QuantizedPwl,
-    ) -> Result<NovaVectorUnit, NovaError> {
-        let schedule = nova_noc::BroadcastSchedule::compile(table, LinkConfig::paper())?;
-        NovaVectorUnit::new(
-            self.line_config(tech, schedule.noc_clock_multiplier()),
+    /// Returns [`NovaError::Noc`] for a table the paper link cannot
+    /// carry.
+    pub fn vector_unit(&self, tech: &TechModel, table: &QuantizedPwl) -> Result<Unit, NovaError> {
+        let flits = BroadcastSchedule::flit_count_for(table, LinkConfig::paper())?;
+        Unit::new(
+            ApproximatorKind::NovaNoc,
+            self.line_config(tech, flits),
             table,
         )
     }

@@ -1609,8 +1609,8 @@ struct Worker {
     id: usize,
     unit: Box<dyn VectorUnit>,
     /// The table `unit` is programmed with; `None` after a panic, which
-    /// may have left the banks half-written, so the next lookup
-    /// re-programs unconditionally.
+    /// may have cut a switch short, so the next lookup re-programs
+    /// unconditionally.
     current: Option<TableKey>,
     /// The newest stage output.
     scratch: FixedBatch,
@@ -1837,25 +1837,22 @@ impl ServingEngine {
             .map(|_| build(config.kind, config.line, &tables[0].1))
             .collect::<Result<Vec<_>, _>>()?;
         // Every resident table must actually be servable by this kind on
-        // this line — switch a throwaway probe unit through all of them
-        // so an unswitchable table (e.g. one whose broadcast schedule
-        // the NoC link cannot address) fails construction, not a slate
-        // mid-serve. This keeps the "non-resident tags are rejected
-        // before anything dispatches" contract honest: a table the
-        // builder accepted can always be switched to. Only the NOVA NoC
-        // has a fallible switch (schedule compilation); LUT/SDP bank
-        // rewrites cannot fail, so those kinds skip the probe unit.
-        if tables.len() > 1 && config.kind == ApproximatorKind::NovaNoc {
-            let mut probe = build(config.kind, config.line, &tables[0].1)?;
-            for (key, table) in &tables[1..] {
-                probe.switch_table(table).map_err(|e| {
+        // this line, so an unswitchable table (e.g. one with more flits
+        // than the NoC link's tags address) fails construction, not a
+        // slate mid-serve. This keeps the "non-resident tags are
+        // rejected before anything dispatches" contract honest: a table
+        // the builder accepted can always be switched to.
+        for (key, table) in &tables[1..] {
+            config
+                .kind
+                .check_table(config.line.link, table)
+                .map_err(|e| {
                     NovaError::Runtime(format!(
                         "activation table {:?}/{} breakpoints cannot be served by this \
                          engine's {:?} hardware: {e}",
                         key.activation, key.breakpoints, config.kind
                     ))
                 })?;
-            }
         }
         Self::from_units(config, tables, fault_policy, units)
     }

@@ -1,16 +1,30 @@
-//! One trait over all vector-unit implementations.
+//! One vector unit for every approximator kind.
 //!
-//! The paper's comparison hinges on three units that compute *the same
-//! function* with different hardware: the NOVA NoC, the per-neuron LUT and
-//! the per-core LUT. [`VectorUnit`] captures the shared contract — batch
-//! lookups over `(routers × neurons)` grids with bit-identical results —
-//! while each implementation reports its own latency and activity.
+//! The paper compares four units that compute *the same function* — the
+//! quantized PWL table — with different hardware: the NOVA NoC, the
+//! per-neuron LUT, the per-core LUT and NVDLA's SDP (§V.B: "NOVA's
+//! latency is identical to that of the baseline"). So one [`Unit`]
+//! serves every kind. A batch is one shape check, one format scan and
+//! one call of the table's batch kernel
+//! ([`QuantizedPwl::eval_to_slice_unchecked`]); a table switch swaps the
+//! shared table. Only the cost differs per kind, and each cost is a
+//! closed form in one place:
+//!
+//! - the batch latency, [`ApproximatorKind::batch_latency_cycles`];
+//! - the switch stall, [`table_switch_cycles`];
+//! - which tables the hardware can carry: the NOVA NoC needs
+//!   [`BroadcastSchedule::flit_count_for`] to accept the table on its
+//!   link, while LUT and SDP banks hold any table.
+//!
+//! The hardware models (`BroadcastSim`, `SegmentedNoc`, the `nova-lut`
+//! cores and banks, `SdpUnit`) are the references these closed forms
+//! are pinned against; no unit runs them.
 
 use nova_accel::config::AcceleratorConfig;
 use nova_approx::QuantizedPwl;
 use nova_fixed::{Fixed, FixedBatch};
-use nova_lut::{PerCoreLut, PerNeuronLut, SdpUnit};
-use nova_noc::{multiline::SegmentedNoc, LineConfig, LinkConfig};
+use nova_lut::SdpUnit;
+use nova_noc::{BroadcastSchedule, LineConfig, LinkConfig, NocError};
 use nova_synth::{timing, TechModel};
 
 use crate::timeline::table_switch_cycles;
@@ -87,6 +101,13 @@ impl ApproximatorKind {
     /// cycles: NOVA and the NN-LUT baselines share the 2-cycle
     /// lookup+MAC path; the SDP's datapath is one pipeline stage deeper
     /// (read, interpolate, scale).
+    ///
+    /// NOVA's 2 holds on every line. The unit splits a line into the
+    /// fewest segments that each fit the single-cycle SMART reach, so
+    /// each of a table's `flits` flits crosses its segment in one NoC
+    /// cycle, and the NoC runs at `flits ×` the core clock: the
+    /// broadcast takes `flits` NoC cycles, one core cycle, before the
+    /// MAC. `SegmentedNoc`'s flit-level simulation measures the same.
     #[must_use]
     pub fn batch_latency_cycles(self) -> u64 {
         match self {
@@ -95,6 +116,26 @@ impl ApproximatorKind {
             | ApproximatorKind::PerCoreLut => BATCH_LATENCY_CYCLES,
             ApproximatorKind::NvdlaSdp => SdpUnit::PIPELINE_STAGES,
         }
+    }
+
+    /// Checks that this kind's hardware on `link` can serve `table`:
+    /// the NOVA NoC's tag field must address every flit and its 16-bit
+    /// words must hold the table's format; LUT and SDP banks hold any
+    /// table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NovaError::Noc`] for a table the NOVA link cannot
+    /// carry (see [`BroadcastSchedule::flit_count_for`]).
+    pub(crate) fn check_table(
+        self,
+        link: LinkConfig,
+        table: &QuantizedPwl,
+    ) -> Result<(), NovaError> {
+        if self == ApproximatorKind::NovaNoc {
+            BroadcastSchedule::flit_count_for(table, link)?;
+        }
+        Ok(())
     }
 }
 
@@ -129,14 +170,16 @@ impl HostGeometry {
 /// Derives the line geometry `kind` needs on `host` — the one place the
 /// kind → geometry dispatch lives.
 ///
-/// Only the NOVA NoC compiles a broadcast schedule (to program the NoC
-/// clock and derive the SMART reach). LUT/SDP units have no line to
-/// cover, so they get a trivially covering reach and tables too large
-/// for the link's tag space still build on LUT hardware.
+/// Only the NOVA NoC has a reach to derive: the table's flit count sets
+/// the NoC clock (`flits ×` the core clock), and that clock sets the
+/// SMART reach. LUT/SDP units have no line to cover, so they get a
+/// trivially covering reach and tables too large for the link's tag
+/// space still build on LUT hardware.
 ///
 /// # Errors
 ///
-/// Propagates broadcast-schedule compilation errors (NOVA kind only).
+/// Returns [`NovaError::Noc`] for a table the NOVA link cannot carry
+/// (NOVA kind only).
 pub fn line_for_kind(
     kind: ApproximatorKind,
     tech: &TechModel,
@@ -146,8 +189,8 @@ pub fn line_for_kind(
 ) -> Result<LineConfig, NovaError> {
     let reach = match kind {
         ApproximatorKind::NovaNoc => {
-            let schedule = nova_noc::BroadcastSchedule::compile(table, link)?;
-            let noc_ghz = host.core_ghz * schedule.noc_clock_multiplier() as f64;
+            let flits = BroadcastSchedule::flit_count_for(table, link)?;
+            let noc_ghz = host.core_ghz * flits as f64;
             timing::max_hops_per_cycle(tech, noc_ghz, host.pitch_mm).max(1)
         }
         ApproximatorKind::PerNeuronLut
@@ -164,43 +207,19 @@ pub fn line_for_kind(
 
 /// Builds the functional vector unit for `kind` on an explicit line
 /// geometry — the workspace's one construction point for approximator
-/// hardware.
-///
-/// The NOVA arm is a [`NovaVectorUnit`]: one segment when the SMART
-/// reach covers the line in one cycle, parallel segments beyond it, so
-/// callers get the paper's latency behavior without re-implementing
-/// that choice.
+/// hardware. Every kind gets a [`Unit`].
 ///
 /// # Errors
 ///
 /// Returns [`NovaError::Noc`] for a line with zero routers, neurons or
-/// reach (for every kind), and propagates NoC schedule errors.
+/// reach (for every kind), and for a table the NOVA link cannot carry
+/// (NOVA kind only; see [`BroadcastSchedule::flit_count_for`]).
 pub fn build(
     kind: ApproximatorKind,
     config: LineConfig,
     table: &QuantizedPwl,
 ) -> Result<Box<dyn VectorUnit>, NovaError> {
-    config.validate()?;
-    Ok(match kind {
-        ApproximatorKind::NovaNoc => Box::new(NovaVectorUnit::new(config, table)?),
-        ApproximatorKind::PerNeuronLut => Box::new(LutVectorUnit::new(
-            table,
-            config.routers,
-            config.neurons_per_router,
-            LutVariant::PerNeuron,
-        )),
-        ApproximatorKind::PerCoreLut => Box::new(LutVectorUnit::new(
-            table,
-            config.routers,
-            config.neurons_per_router,
-            LutVariant::PerCore,
-        )),
-        ApproximatorKind::NvdlaSdp => Box::new(SdpVectorUnit::new(
-            table,
-            config.routers,
-            config.neurons_per_router,
-        )),
-    })
+    Ok(Box::new(Unit::new(kind, config, table)?))
 }
 
 /// Builds the functional vector unit for `kind` on a Table II host: the
@@ -210,7 +229,7 @@ pub fn build(
 ///
 /// # Errors
 ///
-/// Propagates NoC configuration/schedule errors.
+/// Propagates the errors of [`line_for_kind`] and [`build`].
 pub fn build_for_host(
     kind: ApproximatorKind,
     tech: &TechModel,
@@ -228,9 +247,8 @@ pub fn build_for_host(
 }
 
 /// Validates a flat [`FixedBatch`] against a unit's `(routers × neurons)`
-/// grid, shared by all [`VectorUnit`] implementations so malformed
-/// batches are rejected with a uniform [`NovaError::BatchShape`] before
-/// any lookup runs or counter advances.
+/// grid, so malformed batches are rejected with a uniform
+/// [`NovaError::BatchShape`] before any lookup runs or counter advances.
 ///
 /// # Errors
 ///
@@ -249,30 +267,20 @@ pub fn validate_flat_shape(
     Ok(())
 }
 
-/// Refuses a batch holding a word outside `format` before any LUT or
-/// SDP core runs: a core checks only its own row.
-fn validate_formats(inputs: &FixedBatch, format: nova_fixed::QFormat) -> Result<(), NovaError> {
-    if inputs.as_slice().iter().any(|x| x.format() != format) {
-        return Err(nova_lut::LutError::FormatMismatch.into());
-    }
-    Ok(())
-}
-
-/// A batch-lookup vector unit: the functional contract shared by NOVA and
-/// the LUT baselines.
+/// A batch-lookup vector unit: the functional contract every
+/// approximator kind shares.
 ///
 /// The one batch operation is
 /// [`lookup_batch_into`](Self::lookup_batch_into): one contiguous
 /// [`FixedBatch`] in, results written into a caller-recycled
-/// [`FixedBatch`] out, with no allocation on the steady-state path. The
-/// NOVA implementation splits its line into parallel segments when the
-/// SMART reach does not cover it, so every host gets the paper's
-/// single-cycle broadcast.
+/// [`FixedBatch`] out, with no allocation on the steady-state path.
+/// [`Unit`] is the one production implementation; the trait lets a test
+/// stand in a misbehaving unit.
 ///
 /// The trait is `Send` so a `Box<dyn VectorUnit>` can be moved into a
 /// worker thread — the serving runtime gives each shard worker its own
-/// unit and feeds it batches over a channel. Implementations are plain
-/// owned data (simulator state, LUT banks), so this costs nothing.
+/// unit and feeds it batches over a channel. A [`Unit`] is a shared
+/// table handle and a few counts, so this costs nothing.
 pub trait VectorUnit: Send {
     /// Display name (matches the Table III row labels).
     fn name(&self) -> &str;
@@ -287,8 +295,9 @@ pub trait VectorUnit: Send {
     /// # Errors
     ///
     /// Implementations return [`NovaError::BatchShape`] when `inputs`
-    /// does not match the unit's grid (no counter advances), and
-    /// propagate format mismatches.
+    /// does not match the unit's grid and [`NocError::FormatMismatch`]
+    /// when a word is not in the table's format, in both cases before
+    /// `out` or any counter changes.
     fn lookup_batch_into(
         &mut self,
         inputs: &FixedBatch,
@@ -307,58 +316,55 @@ pub trait VectorUnit: Send {
     ///
     /// # Errors
     ///
-    /// Propagates re-programming failures (e.g. a NoC schedule that
-    /// cannot address the new table); on error the old table stays
-    /// active.
+    /// Propagates re-programming failures (e.g. a table the NoC link
+    /// cannot carry); on error the old table stays active.
     fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError>;
 
-    /// Effective per-batch latency in accelerator cycles. Before the
-    /// first batch runs this is the schedule's nominal per-batch latency
-    /// (never a stale 0); afterwards it is the last batch's measured
-    /// latency.
+    /// Per-batch latency in accelerator cycles, reported from
+    /// construction on (never a stale 0).
     fn latency_cycles(&self) -> u64;
 
     /// Total lookups served so far.
     fn lookups(&self) -> u64;
 }
 
-/// The NOVA NoC as a vector unit: the cycle-accurate line simulator,
-/// split into the fewest parallel segments that each fit the
-/// single-cycle SMART reach. A line within reach is one segment, which
-/// is exactly the plain line; beyond reach (e.g. 8 TPU MXUs at a
-/// 2.8 GHz NoC clock with a 5-router reach) the segments keep the
-/// broadcast single-cycle.
+/// The vector unit of every [`ApproximatorKind`]: a `(routers ×
+/// neurons)` grid served through the table's batch kernel, with the
+/// kind's closed-form costs (see the [module docs](self)).
 #[derive(Debug, Clone)]
-pub struct NovaVectorUnit {
-    noc: SegmentedNoc,
-    last_latency: u64,
+pub struct Unit {
+    kind: ApproximatorKind,
+    table: QuantizedPwl,
+    routers: usize,
+    neurons: usize,
+    link: LinkConfig,
     lookups: u64,
 }
 
-impl NovaVectorUnit {
-    /// Builds the unit for a line geometry and table, split into the
-    /// fewest segments that each fit `config.max_hops_per_cycle` (one
-    /// when the reach covers the line).
-    ///
-    /// # Errors
-    ///
-    /// Propagates NoC configuration/schedule errors.
-    pub fn new(config: LineConfig, table: &QuantizedPwl) -> Result<Self, NovaError> {
-        let noc = SegmentedNoc::new(config, table)?;
-        // Seed the latency with the schedule's nominal per-batch value so
-        // callers that query before the first batch don't read a stale 0.
-        let last_latency = noc.nominal_core_cycle_latency();
+impl Unit {
+    /// Builds the unit for `kind` on a line geometry, programmed with
+    /// `table`; fails as [`build`] does.
+    pub(crate) fn new(
+        kind: ApproximatorKind,
+        config: LineConfig,
+        table: &QuantizedPwl,
+    ) -> Result<Self, NovaError> {
+        config.validate()?;
+        kind.check_table(config.link, table)?;
         Ok(Self {
-            noc,
-            last_latency,
+            kind,
+            table: table.clone(),
+            routers: config.routers,
+            neurons: config.neurons_per_router,
+            link: config.link,
             lookups: 0,
         })
     }
 }
 
-impl VectorUnit for NovaVectorUnit {
+impl VectorUnit for Unit {
     fn name(&self) -> &str {
-        "NOVA NoC"
+        self.kind.label()
     }
 
     fn lookup_batch_into(
@@ -366,236 +372,26 @@ impl VectorUnit for NovaVectorUnit {
         inputs: &FixedBatch,
         out: &mut FixedBatch,
     ) -> Result<(), NovaError> {
-        let config = self.noc.config();
-        validate_flat_shape(inputs, config.routers, config.neurons_per_router)?;
-        out.reset(
-            config.routers,
-            config.neurons_per_router,
-            Fixed::zero(self.noc.table().format()),
-        );
-        let stats = self.noc.run_flat(inputs.as_slice(), out.as_mut_slice())?;
-        self.last_latency = stats.core_cycle_latency;
+        validate_flat_shape(inputs, self.routers, self.neurons)?;
+        let format = self.table.format();
+        if inputs.as_slice().iter().any(|x| x.format() != format) {
+            return Err(NocError::FormatMismatch.into());
+        }
+        out.reset(self.routers, self.neurons, Fixed::zero(format));
+        self.table
+            .eval_to_slice_unchecked(inputs.as_slice(), out.as_mut_slice());
         self.lookups += inputs.len() as u64;
         Ok(())
     }
 
     fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError> {
-        // The table lives on the wire: re-programming compiles the new
-        // broadcast schedule and re-points every segment at the shared
-        // table. `set_table` compiles before it changes anything, so a
-        // refused switch leaves the old table active.
-        self.noc.set_table(table)?;
-        self.last_latency = self.noc.nominal_core_cycle_latency();
-        Ok(table_switch_cycles(
-            ApproximatorKind::NovaNoc,
-            table.segments() as u64,
-        ))
+        self.kind.check_table(self.link, table)?;
+        self.table.clone_from(table);
+        Ok(table_switch_cycles(self.kind, table.segments() as u64))
     }
 
     fn latency_cycles(&self) -> u64 {
-        self.last_latency
-    }
-
-    fn lookups(&self) -> u64 {
-        self.lookups
-    }
-}
-
-/// Which LUT baseline a [`LutVectorUnit`] models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LutVariant {
-    /// One single-ported bank per neuron.
-    PerNeuron,
-    /// One multi-ported bank per core.
-    PerCore,
-}
-
-/// A LUT-based vector unit spread across `routers` cores.
-#[derive(Debug, Clone)]
-pub struct LutVectorUnit {
-    variant: LutVariant,
-    per_neuron: Vec<PerNeuronLut>,
-    per_core: Vec<PerCoreLut>,
-    neurons: usize,
-    format: nova_fixed::QFormat,
-    lookups: u64,
-}
-
-impl LutVectorUnit {
-    /// Builds `routers` cores of `neurons` each, sharing per the variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `routers == 0` or `neurons == 0`.
-    #[must_use]
-    pub fn new(table: &QuantizedPwl, routers: usize, neurons: usize, variant: LutVariant) -> Self {
-        assert!(
-            routers > 0 && neurons > 0,
-            "need at least one core and neuron"
-        );
-        let (per_neuron, per_core) = match variant {
-            LutVariant::PerNeuron => (
-                (0..routers)
-                    .map(|_| PerNeuronLut::new(table, neurons))
-                    .collect(),
-                Vec::new(),
-            ),
-            LutVariant::PerCore => (
-                Vec::new(),
-                (0..routers)
-                    .map(|_| PerCoreLut::new(table, neurons))
-                    .collect(),
-            ),
-        };
-        Self {
-            variant,
-            per_neuron,
-            per_core,
-            neurons,
-            format: table.format(),
-            lookups: 0,
-        }
-    }
-}
-
-impl VectorUnit for LutVectorUnit {
-    fn name(&self) -> &str {
-        match self.variant {
-            LutVariant::PerNeuron => "naive LUT (per-neuron LUT)",
-            LutVariant::PerCore => "naive LUT (per-core LUT)",
-        }
-    }
-
-    fn lookup_batch_into(
-        &mut self,
-        inputs: &FixedBatch,
-        out: &mut FixedBatch,
-    ) -> Result<(), NovaError> {
-        let cores = self.per_neuron.len().max(self.per_core.len());
-        validate_flat_shape(inputs, cores, self.neurons)?;
-        validate_formats(inputs, self.format)?;
-        out.reset(cores, self.neurons, Fixed::zero(self.format));
-        match self.variant {
-            LutVariant::PerNeuron => {
-                for (r, unit) in self.per_neuron.iter_mut().enumerate() {
-                    unit.lookup_into(inputs.row(r), out.row_mut(r))?;
-                }
-            }
-            LutVariant::PerCore => {
-                for (r, unit) in self.per_core.iter_mut().enumerate() {
-                    unit.lookup_into(inputs.row(r), out.row_mut(r))?;
-                }
-            }
-        }
-        self.lookups += inputs.len() as u64;
-        Ok(())
-    }
-
-    fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError> {
-        // Every bank is rewritten: one cycle per entry with a single
-        // write port (shared or not, the rewrite serializes per bank
-        // set). The modeled banks rewrite in place and each core shares
-        // the table instead of copying it, so a serving worker's
-        // run-boundary switch stays off the allocator's hot path.
-        let kind = match self.variant {
-            LutVariant::PerNeuron => {
-                for core in &mut self.per_neuron {
-                    core.reprogram(table);
-                }
-                ApproximatorKind::PerNeuronLut
-            }
-            LutVariant::PerCore => {
-                for core in &mut self.per_core {
-                    core.reprogram(table);
-                }
-                ApproximatorKind::PerCoreLut
-            }
-        };
-        self.format = table.format();
-        Ok(table_switch_cycles(kind, table.segments() as u64))
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        BATCH_LATENCY_CYCLES // lookup + MAC (paper §V.B: same latency as NOVA)
-    }
-
-    fn lookups(&self) -> u64 {
-        self.lookups
-    }
-}
-
-/// NVDLA's native SDP as a vector unit: one single-throughput SDP engine
-/// per core (router). Functionally identical to the table like every
-/// other unit; the cost difference lives in the synthesis model.
-#[derive(Debug, Clone)]
-pub struct SdpVectorUnit {
-    cores: Vec<SdpUnit>,
-    /// Lanes per core, cached at construction (identical across cores by
-    /// construction) so the per-batch hot path never re-derives it from
-    /// `cores.first()`.
-    neurons: usize,
-    format: nova_fixed::QFormat,
-    lookups: u64,
-}
-
-impl SdpVectorUnit {
-    /// Builds `routers` SDP engines of `neurons` lanes each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `routers == 0` or `neurons == 0`.
-    #[must_use]
-    pub fn new(table: &QuantizedPwl, routers: usize, neurons: usize) -> Self {
-        assert!(
-            routers > 0 && neurons > 0,
-            "need at least one core and neuron"
-        );
-        Self {
-            cores: (0..routers).map(|_| SdpUnit::new(table, neurons)).collect(),
-            neurons,
-            format: table.format(),
-            lookups: 0,
-        }
-    }
-}
-
-impl VectorUnit for SdpVectorUnit {
-    fn name(&self) -> &str {
-        "NVDLA SDP"
-    }
-
-    fn lookup_batch_into(
-        &mut self,
-        inputs: &FixedBatch,
-        out: &mut FixedBatch,
-    ) -> Result<(), NovaError> {
-        validate_flat_shape(inputs, self.cores.len(), self.neurons)?;
-        validate_formats(inputs, self.format)?;
-        out.reset(self.cores.len(), self.neurons, Fixed::zero(self.format));
-        for (r, core) in self.cores.iter_mut().enumerate() {
-            core.lookup_into(inputs.row(r), out.row_mut(r))?;
-        }
-        self.lookups += inputs.len() as u64;
-        Ok(())
-    }
-
-    fn switch_table(&mut self, table: &QuantizedPwl) -> Result<u64, NovaError> {
-        // In-place interpolation-table rewrite per core (the table
-        // itself is shared, not copied); activity counters preserved.
-        for core in &mut self.cores {
-            core.reprogram(table);
-        }
-        self.format = table.format();
-        Ok(table_switch_cycles(
-            ApproximatorKind::NvdlaSdp,
-            table.segments() as u64,
-        ))
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        // The SDP datapath is one pipeline stage deeper than the
-        // 2-cycle NN-LUT/NOVA path (read, interpolate, scale).
-        SdpUnit::PIPELINE_STAGES
+        self.kind.batch_latency_cycles()
     }
 
     fn lookups(&self) -> u64 {
@@ -608,24 +404,33 @@ mod tests {
     use super::*;
     use crate::serving::{ServingEngine, TableKey};
     use nova_approx::{fit, Activation};
-    use nova_fixed::{Rounding, Q4_12, Q6_10};
-    use nova_lut::{LutError, LutStats};
-    use nova_noc::sim::BroadcastSim;
-    use nova_noc::NocError;
+    use nova_fixed::{QFormat, Rounding, Q4_12, Q6_10};
+    use nova_lut::{LutBank, LutStats, PerCoreLut, PerNeuronLut};
+    use nova_noc::multiline::SegmentedNoc;
+    use nova_noc::sim::{BroadcastSim, SimStats};
 
-    fn table() -> QuantizedPwl {
+    fn fitted(activation: Activation, segments: usize, format: QFormat) -> QuantizedPwl {
         let pwl =
-            fit::fit_activation(Activation::Gelu, 16, fit::BreakpointStrategy::Uniform).unwrap();
-        QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap()
+            fit::fit_activation(activation, segments, fit::BreakpointStrategy::Uniform).unwrap();
+        QuantizedPwl::from_pwl(&pwl, format, Rounding::NearestEven).unwrap()
     }
 
-    /// A flat `routers × neurons` batch (slot `r * neurons + n`).
-    fn batch(routers: usize, neurons: usize) -> FixedBatch {
-        let mut b = FixedBatch::new(routers, neurons, Fixed::zero(Q4_12));
+    fn table() -> QuantizedPwl {
+        fitted(Activation::Gelu, 16, Q4_12)
+    }
+
+    /// A flat `routers × neurons` batch (slot `r * neurons + n`) of
+    /// `format` words.
+    fn batch_in(routers: usize, neurons: usize, format: QFormat) -> FixedBatch {
+        let mut b = FixedBatch::new(routers, neurons, Fixed::zero(format));
         for (i, x) in b.as_mut_slice().iter_mut().enumerate() {
-            *x = Fixed::from_f64((i as f64 * 0.37).sin() * 5.0, Q4_12, Rounding::NearestEven);
+            *x = Fixed::from_f64((i as f64 * 0.37).sin() * 5.0, format, Rounding::NearestEven);
         }
         b
+    }
+
+    fn batch(routers: usize, neurons: usize) -> FixedBatch {
+        batch_in(routers, neurons, Q4_12)
     }
 
     /// Runs one batch into a fresh output buffer.
@@ -640,16 +445,27 @@ mod tests {
         inputs.as_slice().iter().map(|&x| table.eval(x)).collect()
     }
 
+    /// The NOVA hardware model beside a unit: `inputs` through the
+    /// flit-level simulation of `config`'s line, split into the fewest
+    /// segments within reach.
+    fn flit_reference(
+        config: LineConfig,
+        table: &QuantizedPwl,
+        inputs: &FixedBatch,
+    ) -> Result<(Vec<Fixed>, SimStats), NocError> {
+        let mut noc = SegmentedNoc::new(config, table)?;
+        let mut out = vec![Fixed::zero(table.format()); inputs.len()];
+        let stats = noc.run_flat_reference(inputs.as_slice(), &mut out)?;
+        Ok((out, stats))
+    }
+
     #[test]
     fn all_three_units_agree_bit_for_bit() {
         let t = table();
         let inputs = batch(4, 16);
-        let mut nova = NovaVectorUnit::new(LineConfig::paper_default(4, 16), &t).unwrap();
-        let mut pn = LutVectorUnit::new(&t, 4, 16, LutVariant::PerNeuron);
-        let mut pc = LutVectorUnit::new(&t, 4, 16, LutVariant::PerCore);
-        let a = lookup(&mut nova, &inputs).unwrap();
-        let b = lookup(&mut pn, &inputs).unwrap();
-        let c = lookup(&mut pc, &inputs).unwrap();
+        let config = LineConfig::paper_default(4, 16);
+        let [a, b, c] = ApproximatorKind::fig8_contenders()
+            .map(|kind| lookup(build(kind, config, &t).unwrap().as_mut(), &inputs).unwrap());
         assert_eq!(a, b);
         assert_eq!(b, c);
         // And all equal the table.
@@ -658,54 +474,64 @@ mod tests {
 
     #[test]
     fn latency_parity() {
-        // Paper: "NOVA's latency is identical to that of the baseline".
+        // Paper: "NOVA's latency is identical to that of the baseline",
+        // and the NOVA unit's is what the flit-level line measures.
         let t = table();
-        let inputs = batch(10, 8);
-        let mut nova = NovaVectorUnit::new(LineConfig::paper_default(10, 8), &t).unwrap();
-        let mut pn = LutVectorUnit::new(&t, 10, 8, LutVariant::PerNeuron);
-        lookup(&mut nova, &inputs).unwrap();
-        lookup(&mut pn, &inputs).unwrap();
+        let config = LineConfig::paper_default(10, 8);
+        let nova = build(ApproximatorKind::NovaNoc, config, &t).unwrap();
+        let pn = build(ApproximatorKind::PerNeuronLut, config, &t).unwrap();
         assert_eq!(nova.latency_cycles(), pn.latency_cycles());
+        let (_, stats) = flit_reference(config, &t, &batch(10, 8)).unwrap();
+        assert_eq!(nova.latency_cycles(), stats.core_cycle_latency);
     }
 
     #[test]
     fn lookup_counters() {
+        // Every kind counts each served slot once; a switch keeps the
+        // count.
         let t = table();
-        let mut pc = LutVectorUnit::new(&t, 2, 8, LutVariant::PerCore);
-        lookup(&mut pc, &batch(2, 8)).unwrap();
-        lookup(&mut pc, &batch(2, 8)).unwrap();
-        assert_eq!(pc.lookups(), 32);
+        for kind in ApproximatorKind::all() {
+            let mut unit = build(kind, LineConfig::paper_default(2, 8), &t).unwrap();
+            lookup(unit.as_mut(), &batch(2, 8)).unwrap();
+            unit.switch_table(&t).unwrap();
+            lookup(unit.as_mut(), &batch(2, 8)).unwrap();
+            assert_eq!(unit.lookups(), 32, "{}", kind.label());
+        }
     }
 
     #[test]
     fn lut_batch_shape_checked() {
         let t = table();
-        let mut pn = LutVectorUnit::new(&t, 3, 8, LutVariant::PerNeuron);
+        let config = LineConfig::paper_default(3, 8);
+        let mut pn = build(ApproximatorKind::PerNeuronLut, config, &t).unwrap();
         assert!(matches!(
-            lookup(&mut pn, &batch(2, 8)),
+            lookup(pn.as_mut(), &batch(2, 8)),
             Err(NovaError::BatchShape(_))
         ));
     }
 
     #[test]
     fn segmented_unit_restores_single_cycle_latency() {
-        // Beyond the reach the unit splits its line: bit-identical to
-        // the plain line, and back to the 2-cycle lookup + MAC latency.
+        // Beyond the reach a plain line parks its flits; the unit costs
+        // what the segmented line measures: bit-identical outputs and
+        // the 2-cycle lookup + MAC latency.
         let t = table();
-        let mut config = LineConfig::paper_default(8, 4);
-        config.max_hops_per_cycle = 5; // TPU-like 2.8 GHz reach
+        let config = LineConfig {
+            max_hops_per_cycle: 5, // TPU-like 2.8 GHz reach
+            ..LineConfig::paper_default(8, 4)
+        };
         let inputs = batch(8, 4);
         let mut plain = BroadcastSim::new(config, &t).unwrap();
         let mut plain_out = vec![Fixed::zero(Q4_12); inputs.len()];
-        let plain_stats = plain.run_flat(inputs.as_slice(), &mut plain_out).unwrap();
-        let mut unit = NovaVectorUnit::new(config, &t).unwrap();
-        let out = lookup(&mut unit, &inputs).unwrap();
-        assert_eq!(
-            out.as_slice(),
-            plain_out,
-            "segmentation is functionally invisible"
-        );
-        assert_eq!(unit.noc.segment_count(), 2);
+        let plain_stats = plain
+            .run_flat_reference(inputs.as_slice(), &mut plain_out)
+            .unwrap();
+        let (segmented_out, segmented) = flit_reference(config, &t, &inputs).unwrap();
+        let mut unit = build(ApproximatorKind::NovaNoc, config, &t).unwrap();
+        let out = lookup(unit.as_mut(), &inputs).unwrap();
+        assert_eq!(out.as_slice(), plain_out, "segmentation is invisible");
+        assert_eq!(out.as_slice(), segmented_out);
+        assert_eq!(unit.latency_cycles(), segmented.core_cycle_latency);
         assert!(unit.latency_cycles() < plain_stats.core_cycle_latency);
         assert_eq!(unit.latency_cycles(), 2);
     }
@@ -826,25 +652,34 @@ mod tests {
     #[test]
     fn latency_reported_before_first_batch() {
         // Regression: `latency_cycles()` used to return a stale 0 until
-        // the first batch ran. It must report the schedule's nominal
-        // per-batch latency from construction, and that nominal value
-        // must agree with the measured one — on one segment and on
-        // several.
+        // the first batch ran. Every kind reports its closed form from
+        // construction, unchanged by a batch, and NOVA's equals what the
+        // flit-level line measures — on one segment and on several.
         let t = table();
         let beyond_reach = LineConfig {
             max_hops_per_cycle: 5,
             ..LineConfig::paper_default(8, 4)
         };
         for (config, segments) in [(LineConfig::paper_default(4, 16), 1), (beyond_reach, 2)] {
-            let mut unit = NovaVectorUnit::new(config, &t).unwrap();
-            assert_eq!(unit.noc.segment_count(), segments);
-            let before = unit.latency_cycles();
-            assert!(
-                before > 0,
-                "nominal latency must be reported before any batch"
+            let inputs = batch(config.routers, config.neurons_per_router);
+            assert_eq!(
+                SegmentedNoc::new(config, &t).unwrap().segment_count(),
+                segments
             );
-            lookup(&mut unit, &batch(config.routers, config.neurons_per_router)).unwrap();
-            assert_eq!(before, unit.latency_cycles(), "{segments} segment(s)");
+            for kind in ApproximatorKind::all() {
+                let mut unit = build(kind, config, &t).unwrap();
+                let before = unit.latency_cycles();
+                assert!(before > 0, "{}: no latency before a batch", kind.label());
+                lookup(unit.as_mut(), &inputs).unwrap();
+                assert_eq!(before, unit.latency_cycles(), "{}", kind.label());
+            }
+            let nova = build(ApproximatorKind::NovaNoc, config, &t).unwrap();
+            let (_, measured) = flit_reference(config, &t, &inputs).unwrap();
+            assert_eq!(
+                nova.latency_cycles(),
+                measured.core_cycle_latency,
+                "{segments} segment(s)"
+            );
         }
     }
 
@@ -922,45 +757,36 @@ mod tests {
     #[test]
     fn flat_shape_mismatch_rejected_before_counters_move() {
         // A mis-shaped batch, and one whose last word has the wrong
-        // format, are refused before any segment or core runs, on a line
-        // beyond reach: 3 NOVA segments, 12 LUT/SDP cores per kind.
+        // format, are refused by every kind with one error each, before
+        // the output is touched or a lookup is counted — on a line the
+        // NOVA hardware splits into 3 segments. (`SegmentedNoc`'s own
+        // tests cover the segment-level refusal.)
         let t = table();
-        let mut config = LineConfig::paper_default(12, 2);
-        config.max_hops_per_cycle = 4;
+        let config = LineConfig {
+            max_hops_per_cycle: 4,
+            ..LineConfig::paper_default(12, 2)
+        };
         let mut wrong_format = batch(12, 2);
         wrong_format.as_mut_slice()[23] = Fixed::from_f64(0.5, Q6_10, Rounding::NearestEven);
-        let mut nova = NovaVectorUnit::new(config, &t).unwrap();
-        let mut per_neuron = LutVectorUnit::new(&t, 12, 2, LutVariant::PerNeuron);
-        let mut per_core = LutVectorUnit::new(&t, 12, 2, LutVariant::PerCore);
-        let mut sdp = SdpVectorUnit::new(&t, 12, 2);
-        let segments = nova.noc.segments().to_vec();
-        let units: [&mut dyn VectorUnit; 4] = [&mut nova, &mut per_neuron, &mut per_core, &mut sdp];
-        for unit in units {
-            let mut out = FixedBatch::empty();
+        let untouched = batch(5, 3);
+        for kind in ApproximatorKind::all() {
+            let mut unit = build(kind, config, &t).unwrap();
+            let mut out = untouched.clone();
             let shape = unit.lookup_batch_into(&batch(2, 8), &mut out);
             assert!(
                 matches!(shape, Err(NovaError::BatchShape(_))),
                 "{}: {shape:?}",
-                unit.name()
+                kind.label()
             );
             let format = unit.lookup_batch_into(&wrong_format, &mut out);
             assert!(
-                matches!(
-                    format,
-                    Err(NovaError::Noc(NocError::FormatMismatch)
-                        | NovaError::Lut(LutError::FormatMismatch))
-                ),
+                matches!(format, Err(NovaError::Noc(NocError::FormatMismatch))),
                 "{}: {format:?}",
-                unit.name()
+                kind.label()
             );
-            assert_eq!(unit.lookups(), 0, "{}", unit.name());
+            assert_eq!(out, untouched, "{} wrote the output", kind.label());
+            assert_eq!(unit.lookups(), 0, "{}", kind.label());
         }
-        assert_eq!(nova.noc.segment_count(), 3);
-        assert_eq!(nova.noc.segments(), segments, "a NOVA segment ran");
-        let mut cores = (per_neuron.per_neuron.iter().map(PerNeuronLut::stats))
-            .chain(per_core.per_core.iter().map(PerCoreLut::stats))
-            .chain(sdp.cores.iter().map(SdpUnit::stats));
-        assert!(cores.all(|s| s == LutStats::default()), "a core ran");
     }
 
     #[test]
@@ -1009,56 +835,150 @@ mod tests {
     #[test]
     fn failed_switch_keeps_the_old_table_active() {
         // A 32-segment table needs more flits than the paper link's tag
-        // space addresses: the NOVA NoC must refuse the switch and keep
-        // serving the old table — on one segment and on every segment of
-        // a split line, through the fast path and through the flit-level
-        // reference, which reads the router comparators.
+        // space addresses: the NOVA unit refuses the switch with the
+        // error the NoC model gives, and keeps serving the old table as
+        // the model's flit-level reference does — on one segment and on
+        // a line split into 3.
         let gelu = table();
-        let big_pwl =
-            fit::fit_activation(Activation::Gelu, 32, fit::BreakpointStrategy::Uniform).unwrap();
-        let big = QuantizedPwl::from_pwl(&big_pwl, Q4_12, Rounding::NearestEven).unwrap();
+        let big = fitted(Activation::Gelu, 32, Q4_12);
         let beyond_reach = LineConfig {
             max_hops_per_cycle: 5,
             ..LineConfig::paper_default(12, 16)
         };
         let mut out = FixedBatch::empty();
         for (config, segments) in [(LineConfig::paper_default(2, 4), 1), (beyond_reach, 3)] {
-            let mut unit = NovaVectorUnit::new(config, &gelu).unwrap();
-            assert_eq!(unit.noc.segment_count(), segments);
+            let mut noc = SegmentedNoc::new(config, &gelu).unwrap();
+            assert_eq!(noc.segment_count(), segments);
+            let refused = noc.set_table(&big).unwrap_err();
+            let mut unit = build(ApproximatorKind::NovaNoc, config, &gelu).unwrap();
             let latency = unit.latency_cycles();
-            assert!(unit.switch_table(&big).is_err());
+            let switch = unit.switch_table(&big);
+            assert!(
+                matches!(&switch, Err(NovaError::Noc(e)) if *e == refused),
+                "{switch:?}"
+            );
             assert_eq!(unit.latency_cycles(), latency);
             let inputs = batch(config.routers, config.neurons_per_router);
             let expect = expected(&gelu, &inputs);
             unit.lookup_batch_into(&inputs, &mut out).unwrap();
-            assert_eq!(out.as_slice(), expect, "{segments} segment(s), fast path");
+            assert_eq!(out.as_slice(), expect, "{segments} segment(s), unit");
             let mut ref_out = vec![Fixed::zero(Q4_12); expect.len()];
-            unit.noc
-                .run_flat_reference(inputs.as_slice(), &mut ref_out)
+            noc.run_flat_reference(inputs.as_slice(), &mut ref_out)
                 .unwrap();
-            assert_eq!(ref_out, expect, "{segments} segment(s), reference path");
+            assert_eq!(ref_out, expect, "{segments} segment(s), reference");
         }
     }
 
     #[test]
     fn nova_switch_shares_the_table_on_every_segment() {
-        // Re-programming a NOVA unit is a pointer copy: after
-        // `switch_table(&t)` every segment's table reads `t`'s own
-        // storage, on one segment and on a split line.
-        let exp_pwl =
-            fit::fit_activation(Activation::Exp, 16, fit::BreakpointStrategy::Uniform).unwrap();
-        let exp = QuantizedPwl::from_pwl(&exp_pwl, Q4_12, Rounding::NearestEven).unwrap();
-        let shares = |t: &QuantizedPwl| t.slopes_raw().as_ptr() == exp.slopes_raw().as_ptr();
+        // Re-programming is a pointer copy for every kind: after
+        // `switch_table(&t)` the unit reads `t`'s own storage. The NOVA
+        // unit serves every segment of a split line from that one table.
+        let exp = fitted(Activation::Exp, 16, Q4_12);
         let beyond_reach = LineConfig {
             max_hops_per_cycle: 5,
             ..LineConfig::paper_default(12, 16)
         };
-        for (config, segments) in [(LineConfig::paper_default(4, 16), 1), (beyond_reach, 3)] {
-            let mut unit = NovaVectorUnit::new(config, &table()).unwrap();
-            unit.switch_table(&exp).unwrap();
-            assert_eq!(unit.noc.segments().len(), segments);
-            for (i, line) in unit.noc.segments().iter().enumerate() {
-                assert!(shares(line.table()), "segment {i} copied the table");
+        for config in [LineConfig::paper_default(4, 16), beyond_reach] {
+            for kind in ApproximatorKind::all() {
+                let mut unit = Unit::new(kind, config, &table()).unwrap();
+                unit.switch_table(&exp).unwrap();
+                assert_eq!(
+                    unit.table.slopes_raw().as_ptr(),
+                    exp.slopes_raw().as_ptr(),
+                    "{} copied the table",
+                    kind.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_costs_match_the_hardware_models() {
+        // Each kind's costs are closed forms on the unit; the hardware
+        // models are what they are pinned against. Tables of 4–32
+        // segments (and one 24-bit table the NoC's 16-bit words cannot
+        // carry), three links, and lines of one router, within the
+        // reach and beyond it.
+        let mut tables = [4, 8, 16, 32]
+            .map(|s| fitted(Activation::Gelu, s, Q4_12))
+            .to_vec();
+        tables.push(fitted(Activation::Tanh, 16, QFormat::new(24, 20).unwrap()));
+        let links = [
+            LinkConfig::paper(),
+            LinkConfig::new(4, 2).unwrap(),
+            LinkConfig::new(8, 2).unwrap(),
+        ];
+        let lines = [
+            (1, 4, 10),
+            (4, 16, 10),
+            (10, 8, 10),
+            (8, 4, 5),
+            (12, 2, 4),
+            (25, 3, 7),
+        ];
+        for table in &tables {
+            let segments = table.segments() as u64;
+            for (routers, neurons, reach) in lines {
+                let line = LineConfig {
+                    max_hops_per_cycle: reach,
+                    ..LineConfig::paper_default(routers, neurons)
+                };
+                let label = format!("{segments} segments, {routers}×{neurons} @ {reach}");
+                let inputs = batch_in(routers, neurons, table.format());
+
+                // NOVA: what the flit-level segmented line measures, or
+                // the error with which the model refuses the table.
+                for link in links {
+                    let config = LineConfig { link, ..line };
+                    let nova = Unit::new(ApproximatorKind::NovaNoc, config, table);
+                    match (flit_reference(config, table, &inputs), nova) {
+                        (Ok((out, stats)), Ok(mut unit)) => {
+                            let at = format!("{label}, {link:?}");
+                            assert_eq!(unit.latency_cycles(), stats.core_cycle_latency, "{at}");
+                            let served = lookup(&mut unit, &inputs).unwrap();
+                            assert_eq!(served.as_slice(), out, "{at}");
+                            // Free: the next broadcast carries the next pairs.
+                            assert_eq!(unit.switch_table(table).unwrap(), 0, "{at}");
+                        }
+                        (Err(refused), Err(NovaError::Noc(e))) => assert_eq!(e, refused),
+                        (model, unit) => panic!("{label}, {link:?}: {model:?} vs {unit:?}"),
+                    }
+                }
+
+                // LUT and SDP: one batch through one core of each model.
+                let row = inputs.row(0);
+                let mut out = vec![Fixed::zero(table.format()); neurons];
+                let mut per_neuron = PerNeuronLut::new(table, neurons);
+                let mut per_core = PerCoreLut::new(table, neurons);
+                let mut sdp = SdpUnit::new(table, neurons);
+                per_neuron.lookup_into(row, &mut out).unwrap();
+                per_core.lookup_into(row, &mut out).unwrap();
+                sdp.lookup_into(row, &mut out).unwrap();
+                let models: [(ApproximatorKind, LutStats); 3] = [
+                    (ApproximatorKind::PerNeuronLut, per_neuron.stats()),
+                    (ApproximatorKind::PerCoreLut, per_core.stats()),
+                    (ApproximatorKind::NvdlaSdp, sdp.stats()),
+                ];
+                for (kind, stats) in models {
+                    let unit = build(kind, line, table).unwrap();
+                    assert_eq!(unit.latency_cycles(), stats.cycles, "{label}");
+                }
+            }
+
+            // The switch stall: a LUT bank rewrites one entry per cycle.
+            // The SDP's 16× has no model here; `table_switch_cycles`
+            // states it for its 257-entry interpolation tables.
+            let mut bank = LutBank::from_table(&tables[0], 1);
+            bank.reprogram(table);
+            let line = LineConfig::paper_default(2, 4);
+            for (kind, stall) in [
+                (ApproximatorKind::PerNeuronLut, bank.entries() as u64),
+                (ApproximatorKind::PerCoreLut, bank.entries() as u64),
+                (ApproximatorKind::NvdlaSdp, 16 * segments),
+            ] {
+                let mut unit = build(kind, line, &tables[0]).unwrap();
+                assert_eq!(unit.switch_table(table).unwrap(), stall, "{segments}");
             }
         }
     }
@@ -1067,9 +987,10 @@ mod tests {
     fn trait_objects_work() {
         // The trait is object-safe — hosts can hold `Box<dyn VectorUnit>`.
         let t = table();
+        let config = LineConfig::paper_default(2, 4);
         let mut units: Vec<Box<dyn VectorUnit>> = vec![
-            Box::new(NovaVectorUnit::new(LineConfig::paper_default(2, 4), &t).unwrap()),
-            Box::new(LutVectorUnit::new(&t, 2, 4, LutVariant::PerNeuron)),
+            Box::new(Unit::new(ApproximatorKind::NovaNoc, config, &t).unwrap()),
+            build(ApproximatorKind::PerNeuronLut, config, &t).unwrap(),
         ];
         let inputs = batch(2, 4);
         let a = lookup(units[0].as_mut(), &inputs).unwrap();

@@ -152,8 +152,8 @@ impl SegmentedNoc {
     /// [`run_flat`](Self::run_flat) through every segment's cycle-accurate
     /// flit-level reference ([`BroadcastSim::run_flat_reference`]) instead
     /// of the analytic fast path — the executable specification the
-    /// fast path is tested against, and the baseline its speedup is
-    /// benched against.
+    /// fast path, and the serving vector unit's closed-form NOVA
+    /// latency, are tested against.
     ///
     /// # Errors
     ///

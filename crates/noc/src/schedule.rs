@@ -25,22 +25,39 @@ pub struct BroadcastSchedule {
 }
 
 impl BroadcastSchedule {
-    /// Compiles a schedule for `table` on `link`.
+    /// The flit count a schedule for `table` on `link` has, without
+    /// building any flit: the one rule for which tables the NoC can
+    /// carry. [`compile`](Self::compile) checks it first, so a table
+    /// this accepts always compiles.
     ///
     /// # Errors
     ///
     /// Returns [`NocError::TagOverflow`] if the table needs more flits than
     /// the tag field distinguishes (e.g. 32 segments on the paper's 1-bit
-    /// tag link).
-    pub fn compile(table: &QuantizedPwl, link: LinkConfig) -> Result<Self, NocError> {
-        let segments = table.segments();
-        let flits_needed = segments.div_ceil(link.pairs_per_flit);
+    /// tag link), and [`NocError::FormatMismatch`] if its format is wider
+    /// than the link's 16-bit words.
+    pub fn flit_count_for(table: &QuantizedPwl, link: LinkConfig) -> Result<usize, NocError> {
+        let flits_needed = table.segments().div_ceil(link.pairs_per_flit);
         if flits_needed > link.tag_capacity() {
             return Err(NocError::TagOverflow {
                 flits_needed,
                 tag_capacity: link.tag_capacity(),
             });
         }
+        if table.format().total_bits() > 16 {
+            return Err(NocError::FormatMismatch);
+        }
+        Ok(flits_needed)
+    }
+
+    /// Compiles a schedule for `table` on `link`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the errors of [`flit_count_for`](Self::flit_count_for).
+    pub fn compile(table: &QuantizedPwl, link: LinkConfig) -> Result<Self, NocError> {
+        let segments = table.segments();
+        let flits_needed = Self::flit_count_for(table, link)?;
         let pairs = table.pairs();
         let mut flits = Vec::with_capacity(flits_needed);
         for tag in 0..flits_needed {

@@ -219,10 +219,11 @@ impl BroadcastSim {
     /// fast path for: injects one schedule flit per NoC cycle, flies it
     /// through up to `reach` router bypasses, parks it at reach
     /// boundaries, snoops and latches per router, then fires every
-    /// router's MAC stage. Kept as the executable specification — the
+    /// router's MAC stage. Kept as the executable specification: the
     /// equivalence test drives both paths over the same batches and
-    /// demands identical outputs, batch stats and router counters — and
-    /// for microbenching the fast path's speedup.
+    /// demands identical outputs, batch stats and router counters, and
+    /// the serving vector unit's closed-form NOVA latency is pinned
+    /// against it.
     ///
     /// # Errors
     ///

@@ -1,6 +1,6 @@
 //! Quickstart: map GELU onto a NOVA NoC overlaid on a TPU-v4-like
-//! accelerator, run a batch through the cycle-accurate simulator, and ask
-//! the engine what an inference costs.
+//! accelerator, run a batch through its vector unit, and ask the engine
+//! what an inference costs.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -38,8 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.reach,
     );
 
-    // 2. Overlay NOVA and run a batch bit-accurately through the NoC,
-    //    built through the unified ApproximatorKind dispatch.
+    // 2. Overlay NOVA and run a batch bit-accurately through its vector
+    //    unit, built through the unified ApproximatorKind dispatch: the
+    //    table's batch kernel computes the words, and the NoC's closed-form
+    //    cost gives the latency.
     let overlay = NovaOverlay::new(&host);
     let table = &plan.mappings[0].table;
     //    A batch is one flat `routers × neurons` grid: row r is router r.

@@ -7,9 +7,7 @@
 
 use nova::serving::{Plan, ServingEngine, ServingRequest, TableCache, TableKey};
 use nova::vector_unit::build;
-use nova::{
-    ApproximatorKind, FixedBatch, LutVariant, LutVectorUnit, Mapper, NovaVectorUnit, VectorUnit,
-};
+use nova::{ApproximatorKind, FixedBatch, Mapper};
 use nova_approx::Activation;
 use nova_fixed::rng::StdRng;
 use nova_fixed::{Fixed, Rounding, Q4_12};
@@ -29,10 +27,9 @@ fn pick_activation(rng: &mut StdRng) -> Activation {
 }
 
 /// For any activation, segment budget, geometry, reach and inputs: the
-/// NOVA unit (segmented wherever the reach falls short of the line) and
-/// both LUT baselines agree bit for bit, and all equal the compiled
-/// table — before and after every unit switches to a second random
-/// table.
+/// NOVA unit and both LUT baselines, built through `build`, agree bit
+/// for bit, and all equal the compiled table — before and after every
+/// unit switches to a second random table.
 #[test]
 fn all_units_agree_under_random_mappings() {
     let mut rng = StdRng::seed_from_u64(0xD001);
@@ -69,21 +66,8 @@ fn all_units_agree_under_random_mappings() {
             *x = Fixed::from_raw(raws[i % raws.len()], Q4_12).unwrap();
         }
         let mut out = FixedBatch::empty();
-        let mut units: [Box<dyn VectorUnit>; 3] = [
-            Box::new(NovaVectorUnit::new(config, &first).unwrap()),
-            Box::new(LutVectorUnit::new(
-                &first,
-                routers,
-                neurons,
-                LutVariant::PerNeuron,
-            )),
-            Box::new(LutVectorUnit::new(
-                &first,
-                routers,
-                neurons,
-                LutVariant::PerCore,
-            )),
-        ];
+        let mut units =
+            ApproximatorKind::fig8_contenders().map(|kind| build(kind, config, &first).unwrap());
         for (step, table) in [&first, &second].into_iter().enumerate() {
             let expect: Vec<Fixed> = inputs.as_slice().iter().map(|&i| table.eval(i)).collect();
             for unit in &mut units {
