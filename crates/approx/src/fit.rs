@@ -113,7 +113,8 @@ pub fn fit_activation(
 ///
 /// # Errors
 ///
-/// Propagates placement, construction and quantization errors.
+/// Propagates placement, construction and quantization errors, including
+/// the refusal of a format wider than 16 bits.
 ///
 /// # Example
 ///
@@ -130,7 +131,7 @@ pub fn fit_activation(
 ///     Q4_12,
 ///     Rounding::NearestEven,
 /// )?;
-/// assert!(q.uses_output_table());
+/// assert_eq!(q.segments(), 16);
 /// # Ok(())
 /// # }
 /// ```

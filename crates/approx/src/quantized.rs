@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use nova_fixed::{Fixed, QFormat, Rounding};
+use nova_fixed::{Fixed, FixedError, QFormat, Rounding};
 
 use crate::{ApproxError, PiecewiseLinear};
 
@@ -27,22 +27,19 @@ pub struct SlopeBias {
 ///
 /// # Storage layout and the batch kernel
 ///
-/// The architectural view is `pairs: Vec<SlopeBias>`, in exactly the
-/// shape the NoC flit packer and the LUT banks consume, next to raw `i64`
-/// mirrors of its words ([`slopes_raw`](Self::slopes_raw) /
-/// [`biases_raw`](Self::biases_raw)) for the warm-start snapshot codec
-/// and the wide-format pass. The evaluation view, for every format of at
-/// most 16 bits, is a materialized output table: entry `c − lo` holds the
-/// final output word for the clamped raw input `c`. The batch kernel
+/// Every table is at most 16 bits wide, the paper's word: a 257-bit flit
+/// is sixteen 16-bit words plus a tag bit, so
+/// [`from_pwl`](Self::from_pwl) and [`from_raw_parts`](Self::from_raw_parts)
+/// refuse any wider format. The architectural view is
+/// `pairs: Vec<SlopeBias>`, in exactly the shape the NoC flit packer, the
+/// LUT banks and the warm-start snapshot codec consume. The evaluation
+/// view is a materialized output table: entry `c − lo` holds the final
+/// output word for the clamped raw input `c`. The batch kernel
 /// ([`eval_to_slice_unchecked`](Self::eval_to_slice_unchecked)) is then a
 /// clamp plus one `i16` gather per word — the paper's one 16-bit lookup,
 /// with the MAC paid once per raw word at construction. A full-range
-/// 16-bit table is 65,536 entries, 128 KiB. Formats wider than 16 bits
-/// build no table and evaluate by binary search plus the fused MAC.
-/// Flits carry 16-bit words, so the NOVA unit only ever serves tables
-/// that take the gather. Everything is built once, by
-/// [`from_pwl`](Self::from_pwl) or [`from_raw_parts`](Self::from_raw_parts),
-/// and never changes.
+/// 16-bit table is 65,536 entries, 128 KiB. Everything is built once and
+/// never changes.
 ///
 /// The scalar [`eval`](Self::eval) keeps the architectural datapath
 /// (comparator address → pair → fused MAC), so it stays an independent
@@ -59,7 +56,7 @@ pub struct SlopeBias {
 ///
 /// A fitted table is immutable, and all of its storage sits behind one
 /// [`Arc`]: `clone()` bumps a reference count and copies nothing, so every
-/// clone reads the very same output table and raw mirrors. Re-programming
+/// clone reads the very same pairs and output table. Re-programming
 /// a unit — a NoC line and its comparators, a LUT or SDP core — is
 /// therefore a pointer copy, not a copy of up to 128 KiB.
 ///
@@ -93,15 +90,11 @@ struct Body {
     /// One pair per segment (`breakpoints.len() + 1` entries): what the
     /// NoC broadcasts and the LUT banks store.
     pairs: Vec<SlopeBias>,
-    /// The raw slope words of `pairs`, in segment order.
-    slopes_raw: Vec<i64>,
-    /// The raw bias words of `pairs`, in segment order.
-    biases_raw: Vec<i64>,
     /// Clamp bounds in the fixed format.
     lo: Fixed,
     hi: Fixed,
     /// Materialized outputs: entry `c - lo.raw()` is the output word for
-    /// the clamped raw input `c`. Empty for formats wider than 16 bits.
+    /// the clamped raw input `c`.
     outputs: Vec<i16>,
 }
 
@@ -132,8 +125,9 @@ impl QuantizedPwl {
     ///
     /// Returns [`ApproxError::BadBreakpoints`] if after quantization no
     /// valid strictly-increasing threshold list remains but segments
-    /// disagree, or a fixed-point error if the domain does not fit the
-    /// format.
+    /// disagree, a fixed-point error if the domain does not fit the
+    /// format, and [`FixedError::InvalidFormat`] (wrapped in
+    /// [`ApproxError::Fixed`]) for a format wider than 16 bits.
     pub fn from_pwl(
         pwl: &PiecewiseLinear,
         format: QFormat,
@@ -168,11 +162,13 @@ impl QuantizedPwl {
                 pairs.push(pair);
             }
         }
-        Ok(Self::new(format, rounding, lo, hi, breakpoints, pairs))
+        Self::new(format, rounding, lo, hi, breakpoints, pairs)
     }
 
-    /// Wraps validated thresholds and pairs into a shared table, deriving
-    /// the raw mirrors and the output table once.
+    /// Wraps validated thresholds and pairs into a shared table, building
+    /// the output table once. The one width check of the crate's tables:
+    /// a format wider than the paper's 16-bit word is refused here, so
+    /// every table has an output table.
     fn new(
         format: QFormat,
         rounding: Rounding,
@@ -180,29 +176,33 @@ impl QuantizedPwl {
         hi: Fixed,
         breakpoints: Vec<Fixed>,
         pairs: Vec<SlopeBias>,
-    ) -> Self {
+    ) -> Result<Self, ApproxError> {
+        if format.total_bits() > 16 {
+            return Err(FixedError::InvalidFormat {
+                total_bits: format.total_bits(),
+                frac_bits: format.frac_bits(),
+            }
+            .into());
+        }
         let body = Body {
             format,
             rounding,
             outputs: build_outputs(format, rounding, lo, hi, &breakpoints, &pairs),
-            slopes_raw: pairs.iter().map(|p| p.slope.raw()).collect(),
-            biases_raw: pairs.iter().map(|p| p.bias.raw()).collect(),
             breakpoints,
             pairs,
             lo,
             hi,
         };
-        Self {
+        Ok(Self {
             body: Arc::new(body),
-        }
+        })
     }
 
     /// Rebuilds a table from its raw serialized words — the warm-start
-    /// snapshot codec ([`slopes_raw`](Self::slopes_raw) /
-    /// [`biases_raw`](Self::biases_raw) plus raw breakpoints and clamp
-    /// bounds). Every derived structure (the pair view, the raw mirrors,
-    /// the output table) is reconstructed, so a restored table is
-    /// indistinguishable from — and compares equal to — the
+    /// snapshot codec: raw clamp bounds, raw breakpoints, and the raw
+    /// slope and bias words of [`pairs`](Self::pairs) in segment order.
+    /// The pairs and the output table are reconstructed, so a restored
+    /// table is indistinguishable from — and compares equal to — the
     /// [`from_pwl`](Self::from_pwl) original it was snapshotted from.
     ///
     /// # Errors
@@ -211,8 +211,10 @@ impl QuantizedPwl {
     /// don't hold exactly one more entry than the breakpoint list,
     /// [`ApproxError::BadDomain`] for an empty or inverted clamp range,
     /// [`ApproxError::BadBreakpoints`] unless the thresholds are strictly
-    /// increasing and strictly inside the clamp bounds, and a fixed-point
-    /// error if any raw word does not fit `format`.
+    /// increasing and strictly inside the clamp bounds, a fixed-point
+    /// error if any raw word does not fit `format`, and
+    /// [`FixedError::InvalidFormat`] (wrapped in [`ApproxError::Fixed`])
+    /// for a format wider than 16 bits.
     pub fn from_raw_parts(
         format: QFormat,
         rounding: Rounding,
@@ -252,7 +254,7 @@ impl QuantizedPwl {
                 bias: Fixed::from_raw(b, format)?,
             });
         }
-        Ok(Self::new(format, rounding, lo, hi, breakpoints, pairs))
+        Self::new(format, rounding, lo, hi, breakpoints, pairs)
     }
 
     /// The word format of the tables.
@@ -290,21 +292,6 @@ impl QuantizedPwl {
     #[must_use]
     pub fn clamp_bounds(&self) -> (Fixed, Fixed) {
         (self.body.lo, self.body.hi)
-    }
-
-    /// The segment slopes as raw format words, in segment order — the
-    /// view a warm-start snapshot serializes and
-    /// [`from_raw_parts`](Self::from_raw_parts) consumes.
-    #[must_use]
-    pub fn slopes_raw(&self) -> &[i64] {
-        &self.body.slopes_raw
-    }
-
-    /// The segment biases as raw format words (see
-    /// [`slopes_raw`](Self::slopes_raw)).
-    #[must_use]
-    pub fn biases_raw(&self) -> &[i64] {
-        &self.body.biases_raw
     }
 
     /// Clamps an input word to the function domain (the saturating
@@ -350,15 +337,6 @@ impl QuantizedPwl {
             .partition_point(|d| d.raw() <= xc.raw())
     }
 
-    /// Whether the batch paths evaluate through the materialized output
-    /// table (every format of at most 16 bits, whatever its domain) or by
-    /// binary search plus the fused MAC (wider formats). Serving setups
-    /// should assert this is `true` for their hot tables.
-    #[must_use]
-    pub fn uses_output_table(&self) -> bool {
-        !self.body.outputs.is_empty()
-    }
-
     /// Full datapath evaluation: clamp → comparator address → pair select →
     /// fused MAC with a single output rounding. The clamp happens exactly
     /// once — the address lookup consumes the already-saturated word, as
@@ -384,23 +362,10 @@ impl QuantizedPwl {
             .expect("formats verified equal above")
     }
 
-    /// Evaluates a whole vector through the datapath.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any word is not in the table's format.
-    #[must_use]
-    pub fn eval_slice(&self, xs: &[Fixed]) -> Vec<Fixed> {
-        let mut out = Vec::new();
-        self.eval_into(xs, &mut out);
-        out
-    }
-
-    /// Evaluates a whole vector through the datapath into a caller-owned
-    /// buffer. `out` is cleared first, so steady-state callers (serving
-    /// hot loops that evaluate one batch after another) can reuse one
-    /// allocation across calls instead of paying a fresh `Vec` per
-    /// [`eval_slice`](Self::eval_slice).
+    /// Evaluates a whole vector through the batch kernel into a
+    /// caller-owned buffer. `out` is cleared first, so steady-state
+    /// callers (serving hot loops that evaluate one batch after another)
+    /// reuse one allocation across calls.
     ///
     /// The format check runs as one pass over the batch instead of per
     /// element; `out` is then written in one pass of the batch kernel
@@ -420,36 +385,17 @@ impl QuantizedPwl {
         out.extend(xs.iter().map(self.kernel()));
     }
 
-    /// Evaluates a slice *in place* over an output slice of equal length —
-    /// the zero-copy core the flat batch pipeline drives. Same format
-    /// contract (and single up-front check) as [`eval_into`](Self::eval_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != xs.len()` or any word is format-mismatched.
-    pub fn eval_to_slice(&self, xs: &[Fixed], out: &mut [Fixed]) {
-        assert_eq!(xs.len(), out.len(), "output slice must match input length");
-        let format = self.format();
-        assert!(
-            xs.iter().all(|x| x.format() == format),
-            "input word format must match table format"
-        );
-        self.eval_to_slice_unchecked(xs, out);
-    }
-
-    /// The batch kernel shared by every batch path (and, through the
-    /// `nova-lut` / `nova-noc` fast paths, by the whole serving data
-    /// plane).
+    /// The batch kernel over an output slice of equal length, in place:
+    /// what the serving vector unit and the `nova-lut` models run.
     ///
     /// "Unchecked" refers to the *format* contract only — no `unsafe` is
     /// involved: callers must already have verified that every word of
     /// `xs` is in the table's format and that `out.len() == xs.len()`
-    /// (both debug-asserted). [`eval_into`](Self::eval_into) and
-    /// [`eval_to_slice`](Self::eval_to_slice) are the checked wrappers.
+    /// (both debug-asserted). [`eval_into`](Self::eval_into) is the
+    /// checked form.
     ///
     /// Per word: a branch-free `max`/`min` raw clamp, then one gather
-    /// from the output table (for formats wider than 16 bits, a binary
-    /// search plus the fused MAC). Bit-identity with the scalar
+    /// from the output table. Bit-identity with the scalar
     /// [`eval`](Self::eval) datapath is pinned by the full-raw-word sweep
     /// test.
     pub fn eval_to_slice_unchecked(&self, xs: &[Fixed], out: &mut [Fixed]) {
@@ -473,22 +419,11 @@ impl QuantizedPwl {
         let body = &*self.body;
         let (format, lo, hi) = (body.format, body.lo.raw(), body.hi.raw());
         let outputs = body.outputs.as_slice();
-        let last = outputs.len().wrapping_sub(1);
+        let last = outputs.len() - 1;
         move |x| {
             let c = x.raw().max(lo).min(hi);
-            let raw = if outputs.is_empty() {
-                let a = body.breakpoints.partition_point(|d| d.raw() <= c);
-                Fixed::mul_add_raw(
-                    body.slopes_raw[a],
-                    c,
-                    body.biases_raw[a],
-                    format,
-                    body.rounding,
-                )
-            } else {
-                i64::from(outputs[((c - lo) as usize).min(last)])
-            };
-            Fixed::from_raw_saturating(raw, format)
+            let word = outputs[((c - lo) as usize).min(last)];
+            Fixed::from_raw_saturating(i64::from(word), format)
         }
     }
 
@@ -501,7 +436,7 @@ impl QuantizedPwl {
 }
 
 /// Materializes the output table over the clamped raw span `[lo, hi]`
-/// (see [`Body::outputs`]); empty for formats wider than 16 bits.
+/// (see [`Body::outputs`]) for a format of at most 16 bits.
 ///
 /// One sweep per segment: each inner loop runs one `(slope, bias)` fused
 /// MAC over a run of consecutive raw words, which LLVM vectorizes. The
@@ -517,9 +452,6 @@ fn build_outputs(
     breakpoints: &[Fixed],
     pairs: &[SlopeBias],
 ) -> Vec<i16> {
-    if format.total_bits() > 16 {
-        return Vec::new();
-    }
     let lo = lo.raw() as i32;
     let mut outputs = vec![0i16; (hi.raw() as i32 - lo) as usize + 1];
     let mut runs = breakpoints.iter().map(|d| (d.raw() as i32 - lo) as usize);
@@ -580,6 +512,17 @@ mod tests {
         QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap()
     }
 
+    /// The raw words a snapshot stores: breakpoints, slopes and biases.
+    fn raw_words(q: &QuantizedPwl) -> (Vec<i64>, Vec<i64>, Vec<i64>) {
+        let bp_raw = q.breakpoints().iter().map(|b| b.raw()).collect();
+        let (slopes, biases) = q
+            .pairs()
+            .iter()
+            .map(|p| (p.slope.raw(), p.bias.raw()))
+            .unzip();
+        (bp_raw, slopes, biases)
+    }
+
     #[test]
     fn sixteen_segments_survive_quantization() {
         let q = sigmoid16();
@@ -591,20 +534,19 @@ mod tests {
     fn from_raw_parts_round_trips_a_fitted_table() {
         let q = sigmoid16();
         let (lo, hi) = q.clamp_bounds();
-        let bp_raw: Vec<i64> = q.breakpoints().iter().map(|b| b.raw()).collect();
+        let (bp_raw, slopes, biases) = raw_words(&q);
         let r = QuantizedPwl::from_raw_parts(
             q.format(),
             q.rounding(),
             lo.raw(),
             hi.raw(),
             &bp_raw,
-            q.slopes_raw(),
-            q.biases_raw(),
+            &slopes,
+            &biases,
         )
         .unwrap();
-        // Raw-word identical, derived structures rebuilt in lockstep.
+        // Raw-word identical, the output table rebuilt in lockstep.
         assert_eq!(r, q);
-        assert!(r.uses_output_table() && q.uses_output_table());
         for raw in (Q4_12.min_raw()..=Q4_12.max_raw()).step_by(97) {
             let x = Fixed::from_raw(raw, Q4_12).unwrap();
             assert_eq!(r.eval(x), q.eval(x));
@@ -615,50 +557,38 @@ mod tests {
     fn from_raw_parts_rejects_malformed_snapshots() {
         let q = sigmoid16();
         let (lo, hi) = q.clamp_bounds();
-        let bp_raw: Vec<i64> = q.breakpoints().iter().map(|b| b.raw()).collect();
-        let parts = |bp: &[i64], slopes: &[i64], biases: &[i64], lo: i64, hi: i64| {
-            QuantizedPwl::from_raw_parts(q.format(), q.rounding(), lo, hi, bp, slopes, biases)
+        let (bp_raw, slopes, biases) = raw_words(&q);
+        let parts = |bp: &[i64], slopes: &[i64], lo: i64, hi: i64| {
+            QuantizedPwl::from_raw_parts(q.format(), q.rounding(), lo, hi, bp, slopes, &biases)
         };
         // Pair arrays out of step with the breakpoint list.
         assert!(matches!(
-            parts(
-                &bp_raw,
-                &q.slopes_raw()[1..],
-                q.biases_raw(),
-                lo.raw(),
-                hi.raw()
-            ),
+            parts(&bp_raw, &slopes[1..], lo.raw(), hi.raw()),
             Err(ApproxError::TableShape { .. })
         ));
         // Inverted clamp range.
         assert!(matches!(
-            parts(&bp_raw, q.slopes_raw(), q.biases_raw(), hi.raw(), lo.raw()),
+            parts(&bp_raw, &slopes, hi.raw(), lo.raw()),
             Err(ApproxError::BadDomain { .. })
         ));
         // Non-increasing thresholds.
         let mut shuffled = bp_raw.clone();
         shuffled.swap(0, 1);
         assert!(matches!(
-            parts(
-                &shuffled,
-                q.slopes_raw(),
-                q.biases_raw(),
-                lo.raw(),
-                hi.raw()
-            ),
+            parts(&shuffled, &slopes, lo.raw(), hi.raw()),
             Err(ApproxError::BadBreakpoints)
         ));
         // A threshold sitting on the clamp edge.
         let mut edged = bp_raw.clone();
         edged[0] = lo.raw();
         assert!(matches!(
-            parts(&edged, q.slopes_raw(), q.biases_raw(), lo.raw(), hi.raw()),
+            parts(&edged, &slopes, lo.raw(), hi.raw()),
             Err(ApproxError::BadBreakpoints)
         ));
         // A raw word outside the format.
         let mut wide = bp_raw.clone();
         wide[0] = i64::from(i32::MAX);
-        assert!(parts(&wide, q.slopes_raw(), q.biases_raw(), lo.raw(), hi.raw()).is_err());
+        assert!(parts(&wide, &slopes, lo.raw(), hi.raw()).is_err());
     }
 
     #[test]
@@ -720,14 +650,15 @@ mod tests {
         let xs: Vec<Fixed> = (0..100)
             .map(|k| Fixed::from_f64(-7.5 + 0.15 * k as f64, Q4_12, Rounding::NearestEven))
             .collect();
+        let scalar: Vec<Fixed> = xs.iter().map(|&x| q.eval(x)).collect();
         let mut out = Vec::new();
         q.eval_into(&xs, &mut out);
-        assert_eq!(out, q.eval_slice(&xs));
-        // A second, smaller batch reuses the buffer: same result as a
-        // fresh eval, stale tail cleared, no reallocation needed.
+        assert_eq!(out, scalar);
+        // A second, smaller batch reuses the buffer: same result as the
+        // scalar datapath, stale tail cleared, no reallocation needed.
         let cap = out.capacity();
         q.eval_into(&xs[..10], &mut out);
-        assert_eq!(out, q.eval_slice(&xs[..10]));
+        assert_eq!(out, scalar[..10]);
         assert_eq!(out.capacity(), cap, "steady-state call must not realloc");
     }
 
@@ -769,8 +700,8 @@ mod tests {
         q.eval_into(&xs, &mut batched);
         assert_eq!(batched, scalar, "{what}: eval_into");
         let mut sliced = vec![Fixed::zero(format); xs.len()];
-        q.eval_to_slice(&xs, &mut sliced);
-        assert_eq!(sliced, scalar, "{what}: eval_to_slice");
+        q.eval_to_slice_unchecked(&xs, &mut sliced);
+        assert_eq!(sliced, scalar, "{what}: eval_to_slice_unchecked");
     }
 
     #[test]
@@ -780,8 +711,7 @@ mod tests {
         // from-scratch clamp + partition_point + MAC datapath. The table
         // build has one path per rounding mode, so Q4.12 is swept in all
         // three, and Q8.8 covers another fraction width. GELU, exp and
-        // reciprocal are the tables the serving engine runs; every table
-        // swept must take the output-table path.
+        // reciprocal are the tables the serving engine runs.
         let configs = [
             (Q4_12, Rounding::NearestEven),
             (Q4_12, Rounding::NearestAway),
@@ -805,7 +735,6 @@ mod tests {
                         rounding,
                     )
                     .unwrap();
-                    assert!(q.uses_output_table(), "{what}");
                     let (lo, hi) = q.clamp_bounds();
                     assert_eq!(
                         q.body.outputs.len(),
@@ -847,7 +776,6 @@ mod tests {
                     biases,
                 )
                 .unwrap();
-                assert!(q.uses_output_table());
                 assert_eq!(q.body.outputs.len(), 1 << 16);
                 sweep_every_raw_word(&q, &format!("Q1.15/{rounding:?}/{slopes:?}"));
             }
@@ -856,150 +784,104 @@ mod tests {
 
     #[test]
     fn soa_arrays_mirror_pairs_through_construction_and_reprogram() {
-        // The raw mirrors must be the raw words of `pairs`, in order. A
-        // clone — what a unit keeps after a re-program — must share the
+        // A clone — what a unit keeps after a re-program — must share the
         // source's storage, output table included, instead of copying
         // it, and compare equal.
-        let check = |q: &QuantizedPwl| {
-            assert_eq!(q.slopes_raw().len(), q.pairs().len());
-            assert_eq!(q.biases_raw().len(), q.pairs().len());
-            for (i, p) in q.pairs().iter().enumerate() {
-                assert_eq!(q.slopes_raw()[i], p.slope.raw(), "slope {i}");
-                assert_eq!(q.biases_raw()[i], p.bias.raw(), "bias {i}");
-            }
-        };
         let shares = |a: &QuantizedPwl, b: &QuantizedPwl| {
             assert_eq!(a, b);
             assert_eq!(a.pairs().as_ptr(), b.pairs().as_ptr(), "pairs copied");
-            assert_eq!(a.slopes_raw().as_ptr(), b.slopes_raw().as_ptr());
             assert_eq!(a.body.outputs.as_ptr(), b.body.outputs.as_ptr());
             assert_eq!(a.breakpoints().as_ptr(), b.breakpoints().as_ptr());
         };
         let sigmoid = sigmoid16();
-        check(&sigmoid);
         shares(&sigmoid.clone(), &sigmoid);
         let gelu_pwl =
             fit::fit_activation(Activation::Gelu, 4, fit::BreakpointStrategy::Uniform).unwrap();
         let gelu = QuantizedPwl::from_pwl(&gelu_pwl, Q4_12, Rounding::NearestEven).unwrap();
         let mut reprogrammed = sigmoid.clone();
         reprogrammed.clone_from(&gelu);
-        check(&reprogrammed);
         shares(&reprogrammed, &gelu);
     }
 
     #[test]
     fn output_table_boundary_is_the_word_width() {
-        // The boundary is the word width, not the domain. A full-range
-        // 16-bit domain takes the table: 65,536 entries, the most a
-        // 16-bit format can need...
+        // The table spans the clamped domain, and the 16-bit word bounds
+        // the domain: a full-range Q4.12 table is 65,536 entries, the
+        // most any table needs. It evaluates identically to the scalar
+        // datapath on its edge words.
         let ramp = |x: f64| 0.125 * x;
-        let full16 = fit::fit_function(&ramp, (-8.0, 8.0), 4, fit::BreakpointStrategy::Uniform)
+        let q = fit::fit_function(&ramp, (-8.0, 8.0), 4, fit::BreakpointStrategy::Uniform)
             .map(|pwl| QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap())
             .unwrap();
-        let (lo, hi) = full16.clamp_bounds();
+        let (lo, hi) = q.clamp_bounds();
         assert_eq!(lo.raw(), Q4_12.min_raw());
         assert_eq!(hi.raw(), Q4_12.max_raw());
-        assert!(full16.uses_output_table());
-        assert_eq!(full16.body.outputs.len(), 1 << 16);
-        // ...while a 17-bit format takes binary search whatever its
-        // domain: full-range, and narrower than a 16-bit table.
-        let q5_12 = QFormat::new(17, 12).unwrap();
-        let wide = fit::fit_function(&ramp, (-16.0, 16.0), 4, fit::BreakpointStrategy::Uniform)
-            .map(|pwl| QuantizedPwl::from_pwl(&pwl, q5_12, Rounding::NearestEven).unwrap())
-            .unwrap();
-        let narrow_domain =
-            fit::fit_function(&ramp, (-2.0, 2.0), 4, fit::BreakpointStrategy::Uniform)
-                .map(|pwl| QuantizedPwl::from_pwl(&pwl, q5_12, Rounding::NearestEven).unwrap())
-                .unwrap();
-        for q in [&wide, &narrow_domain] {
-            assert!(!q.uses_output_table());
-            assert!(q.body.outputs.is_empty());
-        }
-        // Both sides of the boundary evaluate identically to the scalar
-        // datapath on their edge words, inside and outside the domain.
-        for q in [&full16, &wide, &narrow_domain] {
-            let fmt = q.format();
-            let (lo, hi) = q.clamp_bounds();
-            let xs: Vec<Fixed> = [
-                fmt.min_raw(),
-                lo.raw() - 1,
-                lo.raw(),
-                lo.raw() + 1,
-                0,
-                hi.raw() - 1,
-                hi.raw(),
-                hi.raw() + 1,
-                fmt.max_raw(),
-            ]
+        assert_eq!(q.body.outputs.len(), 1 << 16);
+        let xs: Vec<Fixed> = [lo.raw(), lo.raw() + 1, 0, hi.raw() - 1, hi.raw()]
             .into_iter()
-            .map(|raw| Fixed::from_raw_saturating(raw, fmt))
+            .map(|raw| Fixed::from_raw(raw, Q4_12).unwrap())
             .collect();
-            let mut out = vec![Fixed::zero(fmt); xs.len()];
-            q.eval_to_slice(&xs, &mut out);
-            for (&x, &y) in xs.iter().zip(&out) {
-                assert_eq!(y, q.eval(x), "{fmt}: raw {}", x.raw());
-            }
+        let mut out = vec![Fixed::zero(Q4_12); xs.len()];
+        q.eval_to_slice_unchecked(&xs, &mut out);
+        for (&x, &y) in xs.iter().zip(&out) {
+            assert_eq!(y, q.eval(x), "raw {}", x.raw());
         }
     }
 
     #[test]
     fn empty_and_single_element_batches_on_both_paths() {
-        // Both batch paths must handle a 0-element and a 1-element batch:
-        // the output-table gather and the wide-format binary search.
-        let gather = sigmoid16();
-        let wide_fmt = QFormat::new(24, 20).unwrap();
-        let wide_pwl =
-            fit::fit_activation(Activation::Tanh, 16, fit::BreakpointStrategy::Uniform).unwrap();
-        let wide = QuantizedPwl::from_pwl(&wide_pwl, wide_fmt, Rounding::NearestEven).unwrap();
-        assert!(gather.uses_output_table());
-        assert!(!wide.uses_output_table());
-        for q in [&gather, &wide] {
-            let fmt = q.format();
-            // Empty: no panic, output untouched/cleared.
-            q.eval_to_slice(&[], &mut []);
-            let mut out = vec![Fixed::one(fmt); 3];
-            q.eval_into(&[], &mut out);
-            assert!(out.is_empty(), "eval_into must clear to the input length");
-            // Single element, including the clamp edges.
-            let (lo, hi) = q.clamp_bounds();
-            for x in [lo, hi, Fixed::zero(fmt), Fixed::one(fmt)] {
-                let mut one = [Fixed::zero(fmt)];
-                q.eval_to_slice(&[x], &mut one);
-                assert_eq!(one[0], q.eval(x));
-                let mut v = Vec::new();
-                q.eval_into(&[x], &mut v);
-                assert_eq!(v, vec![q.eval(x)]);
-            }
+        // Both batch entry points, `eval_into` and
+        // `eval_to_slice_unchecked`, must handle a 0-element and a
+        // 1-element batch.
+        let q = sigmoid16();
+        // Empty: no panic, output untouched/cleared.
+        q.eval_to_slice_unchecked(&[], &mut []);
+        let mut out = vec![Fixed::one(Q4_12); 3];
+        q.eval_into(&[], &mut out);
+        assert!(out.is_empty(), "eval_into must clear to the input length");
+        // Single element, including the clamp edges.
+        let (lo, hi) = q.clamp_bounds();
+        for x in [lo, hi, Fixed::zero(Q4_12), Fixed::one(Q4_12)] {
+            let mut one = [Fixed::zero(Q4_12)];
+            q.eval_to_slice_unchecked(&[x], &mut one);
+            assert_eq!(one[0], q.eval(x));
+            let mut v = Vec::new();
+            q.eval_into(&[x], &mut v);
+            assert_eq!(v, vec![q.eval(x)]);
         }
     }
 
     #[test]
     fn wide_formats_fall_back_to_binary_search() {
-        // A 24-bit format builds no output table, and its lookups must
-        // still agree with partition_point on sampled words.
-        let wide = QFormat::new(24, 20).unwrap();
+        // Tables are at most 16 bits wide, the NoC's word: both
+        // constructors refuse a wider format with `InvalidFormat`,
+        // whatever the table's words, so no kernel path serves one.
         let pwl =
             fit::fit_activation(Activation::Tanh, 16, fit::BreakpointStrategy::Uniform).unwrap();
-        let q = QuantizedPwl::from_pwl(&pwl, wide, Rounding::NearestEven).unwrap();
-        assert!(!q.uses_output_table(), "wide formats take binary search");
-        for raw in (wide.min_raw()..wide.max_raw()).step_by(65_537) {
-            let x = Fixed::from_raw(raw, wide).unwrap();
-            let xc = q.clamp(x);
+        let q = sigmoid16();
+        let (lo, hi) = q.clamp_bounds();
+        let (bp_raw, slopes, biases) = raw_words(&q);
+        for (total_bits, frac_bits) in [(17, 12), (24, 20), (32, 16)] {
+            let wide = QFormat::new(total_bits, frac_bits).unwrap();
+            let refused = Err(ApproxError::Fixed(FixedError::InvalidFormat {
+                total_bits,
+                frac_bits,
+            }));
             assert_eq!(
-                q.lookup_address(x),
-                q.breakpoints().partition_point(|d| d.raw() <= xc.raw())
+                QuantizedPwl::from_pwl(&pwl, wide, Rounding::NearestEven),
+                refused,
+                "from_pwl at {wide}"
             );
-        }
-        // The batch paths' binary-search pass must agree with scalar
-        // eval too.
-        let xs: Vec<Fixed> = (wide.min_raw()..wide.max_raw())
-            .step_by(65_537)
-            .map(|raw| Fixed::from_raw(raw, wide).unwrap())
-            .collect();
-        let mut out = vec![Fixed::zero(wide); xs.len()];
-        q.eval_to_slice(&xs, &mut out);
-        for (&x, &y) in xs.iter().zip(&out) {
-            assert_eq!(y, q.eval(x));
+            let raw = QuantizedPwl::from_raw_parts(
+                wide,
+                Rounding::NearestEven,
+                lo.raw(),
+                hi.raw(),
+                &bp_raw,
+                &slopes,
+                &biases,
+            );
+            assert_eq!(raw, refused, "from_raw_parts at {wide}");
         }
     }
 
@@ -1018,16 +900,5 @@ mod tests {
         let dbg = format!("{gelu:?}");
         assert!(dbg.len() < 8 * 1024, "{} bytes", dbg.len());
         assert!(dbg.contains(&format!("output_entries: {}", gelu.body.outputs.len())));
-    }
-
-    #[test]
-    fn eval_to_slice_matches_eval_slice() {
-        let q = sigmoid16();
-        let xs: Vec<Fixed> = (0..257)
-            .map(|k| Fixed::from_f64(-8.0 + 0.0625 * k as f64, Q4_12, Rounding::NearestEven))
-            .collect();
-        let mut out = vec![Fixed::zero(Q4_12); xs.len()];
-        q.eval_to_slice(&xs, &mut out);
-        assert_eq!(out, q.eval_slice(&xs));
     }
 }

@@ -506,7 +506,8 @@ impl TableCache {
     ///
     /// # Errors
     ///
-    /// Propagates PWL fitting / quantization failures.
+    /// Propagates PWL fitting / quantization failures, including the
+    /// refusal of a `key.format` wider than 16 bits.
     pub fn get_or_fit(&self, key: TableKey) -> Result<Arc<QuantizedPwl>, NovaError> {
         if let Some(table) = self
             .inner
@@ -586,10 +587,10 @@ impl TableCache {
     /// Serializes every resident table into a warm-start snapshot: a
     /// [`Value`] tree (render it with [`Value::to_json`]) holding each
     /// table's [`TableKey`] plus its exact raw words — clamp bounds,
-    /// quantized breakpoints, and the `slopes_raw`/`biases_raw` pair
-    /// words. [`restore`](Self::restore) rebuilds every derived
-    /// structure from these words, so a daemon restart skips refitting
-    /// and still serves bit-identical results.
+    /// quantized breakpoints, and the slope and bias words of its pairs
+    /// (`slopes_raw`/`biases_raw`). [`restore`](Self::restore) rebuilds
+    /// every derived structure from these words, so a daemon restart
+    /// skips refitting and still serves bit-identical results.
     ///
     /// The layout is **stable** (`"nova-table-cache/v1"`, entries sorted
     /// by key, pinned by a golden file in the repo tests): snapshots
@@ -622,6 +623,11 @@ impl TableCache {
                 let raw_seq =
                     |raws: &[i64]| Value::Seq(raws.iter().map(|&r| Value::I64(r)).collect());
                 let bp_raw: Vec<i64> = table.breakpoints().iter().map(|b| b.raw()).collect();
+                let (slopes_raw, biases_raw): (Vec<i64>, Vec<i64>) = table
+                    .pairs()
+                    .iter()
+                    .map(|p| (p.slope.raw(), p.bias.raw()))
+                    .unzip();
                 Value::Map(vec![
                     (
                         "activation".into(),
@@ -643,8 +649,8 @@ impl TableCache {
                     ("lo_raw".into(), Value::I64(lo.raw())),
                     ("hi_raw".into(), Value::I64(hi.raw())),
                     ("breakpoints_raw".into(), raw_seq(&bp_raw)),
-                    ("slopes_raw".into(), raw_seq(table.slopes_raw())),
-                    ("biases_raw".into(), raw_seq(table.biases_raw())),
+                    ("slopes_raw".into(), raw_seq(&slopes_raw)),
+                    ("biases_raw".into(), raw_seq(&biases_raw)),
                 ])
             })
             .collect();
@@ -663,8 +669,9 @@ impl TableCache {
     ///
     /// Returns [`NovaError::Runtime`] for an unrecognized snapshot format
     /// tag or a structurally malformed tree, and propagates raw-word
-    /// validation failures from [`QuantizedPwl::from_raw_parts`] —
-    /// nothing is inserted unless the whole snapshot decodes.
+    /// validation failures from [`QuantizedPwl::from_raw_parts`], which
+    /// refuses a format wider than 16 bits — nothing is inserted unless
+    /// the whole snapshot decodes.
     pub fn restore(&self, snapshot: &Value) -> Result<usize, NovaError> {
         let bad = |what: &str| NovaError::Runtime(format!("table cache snapshot: {what}"));
         let format_tag = snapshot
@@ -2789,7 +2796,9 @@ pub fn gather_by_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nova_approx::ApproxError;
     use nova_fixed::rng::StdRng;
+    use nova_fixed::FixedError;
 
     fn fixed(x: f64) -> Fixed {
         Fixed::from_f64(x, Q4_12, Rounding::NearestEven)
@@ -2992,6 +3001,31 @@ mod tests {
         assert_eq!(eng.tables().len(), 2);
         assert_eq!(eng.config().tables, vec![gelu_key(), exp_key()]);
         assert_eq!(eng.config().shards, 1);
+        // A table wider than the 16-bit word is refused on every kind.
+        let wide = TableKey {
+            format: QFormat::new(24, 20).unwrap(),
+            ..gelu_key()
+        };
+        for kind in ApproximatorKind::all() {
+            let built = ServingEngine::builder(kind)
+                .line(LineConfig::paper_default(2, 4))
+                .table(wide)
+                .build();
+            assert!(
+                matches!(
+                    &built,
+                    Err(NovaError::Approx(ApproxError::Fixed(
+                        FixedError::InvalidFormat {
+                            total_bits: 24,
+                            frac_bits: 20
+                        }
+                    )))
+                ),
+                "{}: {:?}",
+                kind.label(),
+                built.err()
+            );
+        }
     }
 
     #[test]
@@ -4017,8 +4051,7 @@ mod tests {
             let misses = warm.misses();
             let restored = warm.get_or_fit(key).unwrap();
             assert_eq!(warm.misses(), misses, "warm start must not refit {key:?}");
-            assert_eq!(orig.slopes_raw(), restored.slopes_raw(), "{key:?}");
-            assert_eq!(orig.biases_raw(), restored.biases_raw(), "{key:?}");
+            assert_eq!(orig.pairs(), restored.pairs(), "{key:?}");
             assert_eq!(orig.breakpoints(), restored.breakpoints(), "{key:?}");
             assert_eq!(orig.format(), restored.format(), "{key:?}");
             assert_eq!(orig.rounding(), restored.rounding(), "{key:?}");
@@ -4055,6 +4088,19 @@ mod tests {
             .unwrap_err();
         assert!(
             matches!(&err, NovaError::Runtime(msg) if msg.contains("activation")),
+            "{err:?}"
+        );
+        // A table wider than the 16-bit word is refused, naming its
+        // format.
+        let json = donor
+            .snapshot()
+            .to_json()
+            .replacen("\"total_bits\":16", "\"total_bits\":24", 1);
+        let err = cache
+            .restore(&Value::from_json(&json).unwrap())
+            .unwrap_err();
+        assert!(
+            matches!(&err, NovaError::Runtime(msg) if msg.contains("24 total bits")),
             "{err:?}"
         );
         assert_eq!(cache.len(), 0, "rejected snapshots insert nothing");

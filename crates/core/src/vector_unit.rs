@@ -119,9 +119,9 @@ impl ApproximatorKind {
     }
 
     /// Checks that this kind's hardware on `link` can serve `table`:
-    /// the NOVA NoC's tag field must address every flit and its 16-bit
-    /// words must hold the table's format; LUT and SDP banks hold any
-    /// table.
+    /// the NOVA NoC's tag field must address every flit; LUT and SDP
+    /// banks hold any table. Every table fits the link's 16-bit words,
+    /// because `QuantizedPwl` refuses wider formats.
     ///
     /// # Errors
     ///
@@ -419,18 +419,13 @@ mod tests {
         fitted(Activation::Gelu, 16, Q4_12)
     }
 
-    /// A flat `routers × neurons` batch (slot `r * neurons + n`) of
-    /// `format` words.
-    fn batch_in(routers: usize, neurons: usize, format: QFormat) -> FixedBatch {
-        let mut b = FixedBatch::new(routers, neurons, Fixed::zero(format));
+    /// A flat `routers × neurons` batch (slot `r * neurons + n`).
+    fn batch(routers: usize, neurons: usize) -> FixedBatch {
+        let mut b = FixedBatch::new(routers, neurons, Fixed::zero(Q4_12));
         for (i, x) in b.as_mut_slice().iter_mut().enumerate() {
-            *x = Fixed::from_f64((i as f64 * 0.37).sin() * 5.0, format, Rounding::NearestEven);
+            *x = Fixed::from_f64((i as f64 * 0.37).sin() * 5.0, Q4_12, Rounding::NearestEven);
         }
         b
-    }
-
-    fn batch(routers: usize, neurons: usize) -> FixedBatch {
-        batch_in(routers, neurons, Q4_12)
     }
 
     /// Runs one batch into a fresh output buffer.
@@ -455,7 +450,7 @@ mod tests {
     ) -> Result<(Vec<Fixed>, SimStats), NocError> {
         let mut noc = SegmentedNoc::new(config, table)?;
         let mut out = vec![Fixed::zero(table.format()); inputs.len()];
-        let stats = noc.run_flat_reference(inputs.as_slice(), &mut out)?;
+        let stats = noc.run_flat(inputs.as_slice(), &mut out)?;
         Ok((out, stats))
     }
 
@@ -523,9 +518,7 @@ mod tests {
         let inputs = batch(8, 4);
         let mut plain = BroadcastSim::new(config, &t).unwrap();
         let mut plain_out = vec![Fixed::zero(Q4_12); inputs.len()];
-        let plain_stats = plain
-            .run_flat_reference(inputs.as_slice(), &mut plain_out)
-            .unwrap();
+        let plain_stats = plain.run_flat(inputs.as_slice(), &mut plain_out).unwrap();
         let (segmented_out, segmented) = flit_reference(config, &t, &inputs).unwrap();
         let mut unit = build(ApproximatorKind::NovaNoc, config, &t).unwrap();
         let out = lookup(unit.as_mut(), &inputs).unwrap();
@@ -863,8 +856,7 @@ mod tests {
             unit.lookup_batch_into(&inputs, &mut out).unwrap();
             assert_eq!(out.as_slice(), expect, "{segments} segment(s), unit");
             let mut ref_out = vec![Fixed::zero(Q4_12); expect.len()];
-            noc.run_flat_reference(inputs.as_slice(), &mut ref_out)
-                .unwrap();
+            noc.run_flat(inputs.as_slice(), &mut ref_out).unwrap();
             assert_eq!(ref_out, expect, "{segments} segment(s), reference");
         }
     }
@@ -884,8 +876,8 @@ mod tests {
                 let mut unit = Unit::new(kind, config, &table()).unwrap();
                 unit.switch_table(&exp).unwrap();
                 assert_eq!(
-                    unit.table.slopes_raw().as_ptr(),
-                    exp.slopes_raw().as_ptr(),
+                    unit.table.pairs().as_ptr(),
+                    exp.pairs().as_ptr(),
                     "{} copied the table",
                     kind.label()
                 );
@@ -897,13 +889,9 @@ mod tests {
     fn closed_form_costs_match_the_hardware_models() {
         // Each kind's costs are closed forms on the unit; the hardware
         // models are what they are pinned against. Tables of 4–32
-        // segments (and one 24-bit table the NoC's 16-bit words cannot
-        // carry), three links, and lines of one router, within the
+        // segments, three links, and lines of one router, within the
         // reach and beyond it.
-        let mut tables = [4, 8, 16, 32]
-            .map(|s| fitted(Activation::Gelu, s, Q4_12))
-            .to_vec();
-        tables.push(fitted(Activation::Tanh, 16, QFormat::new(24, 20).unwrap()));
+        let tables = [4, 8, 16, 32].map(|s| fitted(Activation::Gelu, s, Q4_12));
         let links = [
             LinkConfig::paper(),
             LinkConfig::new(4, 2).unwrap(),
@@ -925,7 +913,7 @@ mod tests {
                     ..LineConfig::paper_default(routers, neurons)
                 };
                 let label = format!("{segments} segments, {routers}×{neurons} @ {reach}");
-                let inputs = batch_in(routers, neurons, table.format());
+                let inputs = batch(routers, neurons);
 
                 // NOVA: what the flit-level segmented line measures, or
                 // the error with which the model refuses the table.

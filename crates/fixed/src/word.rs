@@ -43,12 +43,13 @@ impl Word16 {
     /// [`to_fixed`](Self::to_fixed) round trip is exact on *every* raw
     /// word: truncation to 16 bits is lossless because the format bounds
     /// the word, and decoding sign-extends the same bits back. This is
-    /// the invariant the NoC broadcast fast path rests on — a compiled
+    /// the invariant the NoC simulation's exactness rests on — a compiled
     /// schedule's wire-decoded `(slope, bias)` pairs are bit-identical to
-    /// the table they were packed from, so evaluating through the table
-    /// directly is bit-identical to evaluating through the wire (wider
-    /// formats cannot compile a schedule at all; they fail here first).
-    /// The exhaustive round-trip test pins this.
+    /// the table they were packed from, so evaluating through the wire
+    /// is bit-identical to evaluating the table directly. Tables are at
+    /// most 16 bits wide, but a [`Fixed`] may be up to 32, so the encoder
+    /// checks the width itself. The exhaustive round-trip test pins the
+    /// invariant.
     ///
     /// # Errors
     ///
@@ -130,7 +131,7 @@ mod tests {
 
     #[test]
     fn roundtrip_exact_for_every_raw_word_of_16_bit_formats() {
-        // The wire-exactness invariant behind the NoC eval fast path:
+        // The wire-exactness invariant behind the NoC simulation:
         // every raw word of a ≤ 16-bit format survives the wire
         // unchanged, for both a full-width and a narrower format.
         for format in [Q4_12, crate::QFormat::new(12, 8).unwrap()] {

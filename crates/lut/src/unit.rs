@@ -294,9 +294,9 @@ mod tests {
         let mut pc = PerCoreLut::new(&table(), 8);
         pn.reprogram(&tanh);
         pc.reprogram(&tanh);
-        let storage = tanh.slopes_raw().as_ptr();
-        assert_eq!(pn.table.slopes_raw().as_ptr(), storage, "per-neuron copy");
-        assert_eq!(pc.table.slopes_raw().as_ptr(), storage, "per-core copy");
+        let storage = tanh.pairs().as_ptr();
+        assert_eq!(pn.table.pairs().as_ptr(), storage, "per-neuron copy");
+        assert_eq!(pc.table.pairs().as_ptr(), storage, "per-core copy");
         assert_eq!(pc.bank().entries(), tanh.segments());
     }
 

@@ -15,10 +15,11 @@
 use nova_approx::QuantizedPwl;
 use nova_fixed::Fixed;
 
-use crate::sim::{BroadcastSim, SimStats};
+use crate::sim::{check_batch, BroadcastSim, SimStats};
 use crate::{BroadcastSchedule, LineConfig, NocError};
 
-/// A NOVA NoC split into parallel segments.
+/// A NOVA NoC split into parallel segments, each a [`BroadcastSim`]
+/// running the flit-level simulation over its own rows.
 #[derive(Debug, Clone)]
 pub struct SegmentedNoc {
     segments: Vec<BroadcastSim>,
@@ -118,81 +119,28 @@ impl SegmentedNoc {
         Ok(())
     }
 
-    /// Per-batch broadcast latency in core cycles without running a
-    /// batch: segments broadcast concurrently, so the nominal latency is
-    /// the maximum over the per-segment nominal latencies (the widest
-    /// segment dominates).
-    #[must_use]
-    pub fn nominal_core_cycle_latency(&self) -> u64 {
-        self.segments
-            .iter()
-            .map(BroadcastSim::nominal_core_cycle_latency)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Runs one batch over flat row-major buffers (slot
-    /// `r * neurons + n`), each segment broadcasting over its contiguous
-    /// row range in place, with no per-batch allocation. NoC cycles are
-    /// the *maximum* over segments (they operate concurrently); activity
+    /// `r * neurons + n`), each segment simulating its contiguous row
+    /// range in place, with no per-batch allocation. NoC cycles are the
+    /// *maximum* over segments (they operate concurrently); activity
     /// counters are summed.
     ///
     /// # Errors
     ///
-    /// Same shape/format validation as [`BroadcastSim::run_flat`], over
-    /// the whole batch before any segment runs.
+    /// The shape and format errors of [`BroadcastSim::run_flat`], checked
+    /// once over the whole batch before any segment runs.
     pub fn run_flat(
         &mut self,
         inputs: &[Fixed],
         outputs: &mut [Fixed],
     ) -> Result<SimStats, NocError> {
-        self.run_flat_with(inputs, outputs, BroadcastSim::run_flat)
-    }
-
-    /// [`run_flat`](Self::run_flat) through every segment's cycle-accurate
-    /// flit-level reference ([`BroadcastSim::run_flat_reference`]) instead
-    /// of the analytic fast path — the executable specification the
-    /// fast path, and the serving vector unit's closed-form NOVA
-    /// latency, are tested against.
-    ///
-    /// # Errors
-    ///
-    /// Same shape/format validation as [`run_flat`](Self::run_flat).
-    pub fn run_flat_reference(
-        &mut self,
-        inputs: &[Fixed],
-        outputs: &mut [Fixed],
-    ) -> Result<SimStats, NocError> {
-        self.run_flat_with(inputs, outputs, BroadcastSim::run_flat_reference)
-    }
-
-    fn run_flat_with(
-        &mut self,
-        inputs: &[Fixed],
-        outputs: &mut [Fixed],
-        mut run: impl FnMut(&mut BroadcastSim, &[Fixed], &mut [Fixed]) -> Result<SimStats, NocError>,
-    ) -> Result<SimStats, NocError> {
+        check_batch(self.config, self.table().format(), inputs, outputs.len())?;
         let neurons = self.config.neurons_per_router;
-        let slots = self.config.routers * neurons;
-        if inputs.len() != slots || outputs.len() != slots {
-            return Err(NocError::InputShape {
-                routers: self.config.routers,
-                neurons,
-                got: (inputs.len(), outputs.len()),
-            });
-        }
-        // Each segment checks only its own words, so a split line checks
-        // the whole batch first: a wrong word in a late segment must not
-        // leave the earlier ones run. One segment checks it all itself.
-        let format = self.table().format();
-        if self.segments.len() > 1 && inputs.iter().any(|x| x.format() != format) {
-            return Err(NocError::FormatMismatch);
-        }
         let mut stats = SimStats::default();
         let mut offset = 0;
         for (seg, &routers) in self.segments.iter_mut().zip(&self.split) {
             let end = offset + routers * neurons;
-            let s = run(seg, &inputs[offset..end], &mut outputs[offset..end])?;
+            let s = seg.broadcast(&inputs[offset..end], &mut outputs[offset..end])?;
             stats.noc_cycles = stats.noc_cycles.max(s.noc_cycles);
             stats.core_cycle_latency = stats.core_cycle_latency.max(s.core_cycle_latency);
             stats.flits_injected += s.flits_injected;
@@ -231,7 +179,7 @@ mod tests {
             .collect()
     }
 
-    /// Runs one batch through the fast path into a fresh output buffer.
+    /// Runs one batch through the simulation into a fresh output buffer.
     fn run(noc: &mut SegmentedNoc, inputs: &[Fixed]) -> (Vec<Fixed>, SimStats) {
         let mut out = vec![Fixed::zero(Q4_12); inputs.len()];
         let stats = noc.run_flat(inputs, &mut out).unwrap();
@@ -291,49 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn nominal_latency_matches_simulation() {
-        let t = table();
-        for (routers, reach) in [(8, 5), (12, 4), (20, 5), (8, 10)] {
-            let mut config = LineConfig::paper_default(routers, 2);
-            config.max_hops_per_cycle = reach;
-            let mut noc = SegmentedNoc::new(config, &t).unwrap();
-            let nominal = noc.nominal_core_cycle_latency();
-            let (_, stats) = run(&mut noc, &batch(routers, 2));
-            assert_eq!(
-                nominal, stats.core_cycle_latency,
-                "{routers} routers at reach {reach}"
-            );
-        }
-    }
-
-    #[test]
-    fn segmented_fast_path_matches_reference() {
-        // The segmented NoC inherits the analytic fast path per segment;
-        // it must agree with the flit-level reference on outputs and
-        // merged stats, including the uneven-final-segment split.
-        let t = table();
-        for (routers, neurons, reach) in [(8, 4, 5), (12, 3, 4), (20, 1, 5)] {
-            let mut config = LineConfig::paper_default(routers, neurons);
-            config.max_hops_per_cycle = reach;
-            let mut fast = SegmentedNoc::new(config, &t).unwrap();
-            let mut reference = SegmentedNoc::new(config, &t).unwrap();
-            let inputs = batch(routers, neurons);
-            let mut out_fast = vec![Fixed::zero(Q4_12); inputs.len()];
-            let mut out_ref = out_fast.clone();
-            for _ in 0..2 {
-                let sf = fast.run_flat(&inputs, &mut out_fast).unwrap();
-                let sr = reference.run_flat_reference(&inputs, &mut out_ref).unwrap();
-                assert_eq!(out_fast, out_ref, "{routers}r/{neurons}n reach {reach}");
-                assert_eq!(sf, sr, "{routers}r/{neurons}n reach {reach}");
-            }
-        }
-    }
-
-    #[test]
     fn shape_validation() {
         // A wrong input length, a wrong output length and a wrong-format
-        // word in the last segment are refused by both paths before any
-        // segment runs: no output slot is written. Batch stats sum the
+        // word in the last segment are refused before any segment runs:
+        // no output slot is written. Batch stats sum the
         // routers' cumulative latch counters, so a first accepted batch
         // that reports a fresh NoC's stats proves no counter moved.
         let t = table();
@@ -356,7 +265,6 @@ mod tests {
         ] {
             let mut outputs = vec![zero; out_len];
             assert_eq!(noc.run_flat(&inputs, &mut outputs), Err(expect.clone()));
-            assert_eq!(noc.run_flat_reference(&inputs, &mut outputs), Err(expect));
             assert!(outputs.iter().all(|&y| y == zero), "a slot was written");
         }
         let inputs = batch(12, 2);

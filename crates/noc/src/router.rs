@@ -108,21 +108,8 @@ impl Router {
     }
 
     /// Local output port: the MAC stage computes `a·x + b` for every
-    /// neuron. One accelerator cycle after the last matching flit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::BadLineConfig`] if called before all pairs are
-    /// latched (a scheduling bug).
-    pub fn compute(&mut self) -> Result<Vec<Fixed>, NocError> {
-        let mut out = self.inputs.clone();
-        self.compute_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// The zero-copy MAC stage: writes the approximated value of every
-    /// neuron into `out` in place — the flat-batch hot path, with no
-    /// allocation.
+    /// neuron, one accelerator cycle after the last matching flit, and
+    /// writes it into `out` in place, with no allocation.
     ///
     /// # Errors
     ///
@@ -174,6 +161,13 @@ mod tests {
             .collect()
     }
 
+    /// Fires the MAC stage into a fresh row of the loaded neuron count.
+    fn compute(r: &mut Router, neurons: usize) -> Result<Vec<Fixed>, NocError> {
+        let mut out = vec![Fixed::zero(Q4_12); neurons];
+        r.compute_into(&mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn router_latches_over_two_flits_and_matches_table() {
         let t = table(16);
@@ -186,7 +180,7 @@ mod tests {
             r.snoop(flit, s.flit_count(), &t);
         }
         assert!(r.ready());
-        let out = r.compute().unwrap();
+        let out = compute(&mut r, inputs.len()).unwrap();
         for (o, &x) in out.iter().zip(&inputs) {
             assert_eq!(
                 *o,
@@ -201,7 +195,7 @@ mod tests {
         let t = table(16);
         let mut r = Router::new(&t);
         r.load_inputs(&words(&[0.0]));
-        assert!(r.compute().is_err());
+        assert!(compute(&mut r, 1).is_err());
     }
 
     #[test]
@@ -225,7 +219,7 @@ mod tests {
         for flit in s.flits() {
             r.snoop(flit, 2, &t);
         }
-        let _ = r.compute().unwrap();
+        compute(&mut r, 2).unwrap();
         assert_eq!(r.stats.flits_seen, 2);
         assert_eq!(r.stats.pairs_latched, 2);
         assert_eq!(r.stats.mac_ops, 2);

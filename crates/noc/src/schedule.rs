@@ -28,14 +28,15 @@ impl BroadcastSchedule {
     /// The flit count a schedule for `table` on `link` has, without
     /// building any flit: the one rule for which tables the NoC can
     /// carry. [`compile`](Self::compile) checks it first, so a table
-    /// this accepts always compiles.
+    /// this accepts always compiles. Every table's words fit the link's
+    /// 16-bit words, because `QuantizedPwl` refuses wider formats, so
+    /// the tag field is the one limit.
     ///
     /// # Errors
     ///
     /// Returns [`NocError::TagOverflow`] if the table needs more flits than
     /// the tag field distinguishes (e.g. 32 segments on the paper's 1-bit
-    /// tag link), and [`NocError::FormatMismatch`] if its format is wider
-    /// than the link's 16-bit words.
+    /// tag link).
     pub fn flit_count_for(table: &QuantizedPwl, link: LinkConfig) -> Result<usize, NocError> {
         let flits_needed = table.segments().div_ceil(link.pairs_per_flit);
         if flits_needed > link.tag_capacity() {
@@ -43,9 +44,6 @@ impl BroadcastSchedule {
                 flits_needed,
                 tag_capacity: link.tag_capacity(),
             });
-        }
-        if table.format().total_bits() > 16 {
-            return Err(NocError::FormatMismatch);
         }
         Ok(flits_needed)
     }

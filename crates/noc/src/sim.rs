@@ -16,7 +16,7 @@
 //! broadcast degrades gracefully to multi-cycle traversal (§V.A).
 
 use nova_approx::QuantizedPwl;
-use nova_fixed::Fixed;
+use nova_fixed::{Fixed, QFormat};
 
 use crate::router::Router;
 use crate::{BroadcastSchedule, LineConfig, NocError};
@@ -41,7 +41,9 @@ pub struct SimStats {
     pub mac_ops: u64,
 }
 
-/// The line simulator.
+/// The line simulator: the one NoC model. [`run_flat`](Self::run_flat)
+/// walks every flit router by router, and the serving vector unit's
+/// closed-form NOVA costs are pinned against it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BroadcastSim {
     config: LineConfig,
@@ -50,8 +52,8 @@ pub struct BroadcastSim {
     routers: Vec<Router>,
     /// In-flight flit scratch `(schedule index, next router)`, reused
     /// across batches so the steady-state broadcast loop never touches
-    /// the allocator. Always empty between
-    /// [`run_flat_reference`](Self::run_flat_reference) calls.
+    /// the allocator. Always empty between [`run_flat`](Self::run_flat)
+    /// calls.
     in_flight: Vec<(usize, usize)>,
     /// Double-buffer partner of `in_flight` (same lifecycle).
     flying_scratch: Vec<(usize, usize)>,
@@ -96,25 +98,6 @@ impl BroadcastSim {
         self.config
     }
 
-    /// Per-batch broadcast latency in core cycles, computed without
-    /// running a batch. The broadcast is data-independent — one flit
-    /// injects per NoC cycle and every flit advances `max_hops_per_cycle`
-    /// routers per cycle — so the cycle count [`run_flat`](Self::run_flat)
-    /// reports is a pure function of the schedule and geometry.
-    #[must_use]
-    pub fn nominal_core_cycle_latency(&self) -> u64 {
-        let flits = self.schedule.flit_count() as u64;
-        let reach = self.config.max_hops_per_cycle as u64;
-        let span = (self.config.routers as u64).saturating_sub(1);
-        // A flit spends `ceil(span/reach)` cycles on the line (the first
-        // of which is its injection cycle), and the last flit injects on
-        // NoC cycle `flits`.
-        let travel = span.div_ceil(reach).max(1);
-        let noc_cycles = flits + travel - 1;
-        let multiplier = self.schedule.noc_clock_multiplier() as u64;
-        noc_cycles.div_ceil(multiplier) + 1 // +1: the MAC stage
-    }
-
     /// Switches the active operator table (e.g. softmax-exp → GELU between
     /// layer phases). For NOVA this is free in hardware — the next
     /// broadcast simply carries the new pairs — so no cycles are consumed.
@@ -146,94 +129,38 @@ impl BroadcastSim {
 
     /// Runs one batch over flat row-major buffers: slot `r * neurons + n`
     /// of `inputs` is the PE output of neuron `n` at router `r`, and the
-    /// approximated value lands in the same slot of `outputs`. It does
-    /// *not* walk flits router by router:
+    /// approximated value lands in the same slot of `outputs`.
     ///
-    /// - **Data.** The wire is exact: a compiled schedule's `Word16`
-    ///   round trip is lossless for every ≤ 16-bit format (wider formats
-    ///   cannot compile a schedule at all), so the pairs every router
-    ///   latches are bit-identical to the table — and the whole grid can
-    ///   run through the table's batch kernel
-    ///   ([`QuantizedPwl::eval_to_slice_unchecked`], a clamp plus one
-    ///   output-table gather per word) in one call.
-    /// - **Timing/activity.** The broadcast is data-independent (see
-    ///   [`nominal_core_cycle_latency`](Self::nominal_core_cycle_latency)),
-    ///   so every [`SimStats`] field and every router counter is a closed
-    ///   form of the schedule and geometry.
-    ///
-    /// Equality of outputs, batch stats and per-router counters with the
-    /// flit-level simulation is pinned against
-    /// [`run_flat_reference`](Self::run_flat_reference) across geometries
-    /// and batches.
+    /// The simulation is cycle-accurate and flit-level: it injects one
+    /// schedule flit per NoC cycle, flies it through up to `reach` router
+    /// bypasses, parks it at reach boundaries, snoops and latches per
+    /// router, then fires every router's MAC stage on the pairs decoded
+    /// from the wire.
     ///
     /// # Errors
     ///
     /// - [`NocError::InputShape`] if either buffer is not exactly
     ///   `routers × neurons_per_router` slots,
     /// - [`NocError::FormatMismatch`] if any word uses the wrong Q-format.
+    ///
+    /// Both are checked before any router state changes.
     pub fn run_flat(
         &mut self,
         inputs: &[Fixed],
         outputs: &mut [Fixed],
     ) -> Result<SimStats, NocError> {
-        self.validate_flat(inputs, outputs.len())?;
-        // Functional stage: one batch-kernel call over the whole grid.
-        self.table.eval_to_slice_unchecked(inputs, outputs);
-
-        // Timing/activity stage. Each flit occupies the line for
-        // `1 + parks` cycles, parking at every reach boundary (positions
-        // k·reach < routers, k ≥ 1 — there are ceil(routers/reach) − 1 of
-        // them), and one flit injects per cycle, so the last flit retires
-        // on cycle `flits + parks`. Every router snoops every flit; each
-        // neuron latches exactly one pair and fires one MAC per batch.
-        let flits = self.schedule.flit_count() as u64;
-        let reach = self.config.max_hops_per_cycle as u64;
-        let routers = self.config.routers as u64;
-        let neurons = self.config.neurons_per_router as u64;
-        let parks = routers.div_ceil(reach).saturating_sub(1);
-        let mut stats = SimStats {
-            noc_cycles: flits + parks,
-            flits_injected: flits,
-            hops: flits * routers,
-            buffered: flits * parks,
-            ..SimStats::default()
-        };
-        for (r, router) in self.routers.iter_mut().enumerate() {
-            router.stats.flits_seen += flits;
-            router.stats.pairs_latched += neurons;
-            router.stats.mac_ops += neurons;
-            if r > 0 && r as u64 % reach == 0 {
-                router.stats.flits_buffered += flits;
-            }
-            // Batch stats sum the routers' *cumulative* latch/MAC
-            // counters, exactly as the reference loop reports them.
-            stats.pairs_latched += router.stats.pairs_latched;
-            stats.mac_ops += router.stats.mac_ops;
-        }
-        let multiplier = self.schedule.noc_clock_multiplier() as u64;
-        stats.core_cycle_latency = stats.noc_cycles.div_ceil(multiplier) + 1;
-        Ok(stats)
+        check_batch(self.config, self.table.format(), inputs, outputs.len())?;
+        self.broadcast(inputs, outputs)
     }
 
-    /// The cycle-accurate flit-level simulation `run_flat` is an analytic
-    /// fast path for: injects one schedule flit per NoC cycle, flies it
-    /// through up to `reach` router bypasses, parks it at reach
-    /// boundaries, snoops and latches per router, then fires every
-    /// router's MAC stage. Kept as the executable specification: the
-    /// equivalence test drives both paths over the same batches and
-    /// demands identical outputs, batch stats and router counters, and
-    /// the serving vector unit's closed-form NOVA latency is pinned
-    /// against it.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`run_flat`](Self::run_flat).
-    pub fn run_flat_reference(
+    /// [`run_flat`](Self::run_flat) on a batch the caller has already
+    /// checked: a segmented line checks its whole batch once and runs
+    /// each segment through this.
+    pub(crate) fn broadcast(
         &mut self,
         inputs: &[Fixed],
         outputs: &mut [Fixed],
     ) -> Result<SimStats, NocError> {
-        self.validate_flat(inputs, outputs.len())?;
         let flits = self.schedule.flit_count();
         let reach = self.config.max_hops_per_cycle;
         let neurons = self.config.neurons_per_router;
@@ -315,22 +242,29 @@ impl BroadcastSim {
         stats.core_cycle_latency = cycle.div_ceil(multiplier) + 1;
         Ok(stats)
     }
+}
 
-    fn validate_flat(&self, inputs: &[Fixed], out_len: usize) -> Result<(), NocError> {
-        let slots = self.config.routers * self.config.neurons_per_router;
-        if inputs.len() != slots || out_len != slots {
-            return Err(NocError::InputShape {
-                routers: self.config.routers,
-                neurons: self.config.neurons_per_router,
-                got: (inputs.len(), out_len),
-            });
-        }
-        let format = self.table.format();
-        if inputs.iter().any(|x| x.format() != format) {
-            return Err(NocError::FormatMismatch);
-        }
-        Ok(())
+/// Checks a flat batch against a line: both buffers must hold exactly
+/// `routers × neurons_per_router` slots, and every input word must be in
+/// the table's `format`.
+pub(crate) fn check_batch(
+    config: LineConfig,
+    format: QFormat,
+    inputs: &[Fixed],
+    out_len: usize,
+) -> Result<(), NocError> {
+    let slots = config.routers * config.neurons_per_router;
+    if inputs.len() != slots || out_len != slots {
+        return Err(NocError::InputShape {
+            routers: config.routers,
+            neurons: config.neurons_per_router,
+            got: (inputs.len(), out_len),
+        });
     }
+    if inputs.iter().any(|x| x.format() != format) {
+        return Err(NocError::FormatMismatch);
+    }
+    Ok(())
 }
 
 /// Propagates flit `fi` starting at router `pos` for up to `reach` hops.
@@ -396,7 +330,7 @@ mod tests {
             .collect()
     }
 
-    /// Runs one batch through the fast path into a fresh output buffer.
+    /// Runs one batch through the simulation into a fresh output buffer.
     fn run(sim: &mut BroadcastSim, inputs: &[Fixed]) -> (Vec<Fixed>, SimStats) {
         let mut out = vec![Fixed::zero(Q4_12); inputs.len()];
         let stats = sim.run_flat(inputs, &mut out).unwrap();
@@ -439,31 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn nominal_latency_matches_simulation() {
-        // The analytic per-batch latency must agree with the simulator
-        // across flit counts, reaches and NoC clock multipliers.
-        let cases = [
-            (16, 10, 8, 10), // paper default: single-cycle reach
-            (8, 8, 4, 10),   // one flit
-            (16, 25, 2, 10), // beyond reach: multicycle traversal
-            (16, 25, 2, 4),  // shorter reach still
-            (16, 1, 4, 10),  // degenerate single-router line
-        ];
-        for (breakpoints, routers, neurons, reach) in cases {
-            let t = table(breakpoints);
-            let mut config = LineConfig::paper_default(routers, neurons);
-            config.max_hops_per_cycle = reach;
-            let mut sim = BroadcastSim::new(config, &t).unwrap();
-            let nominal = sim.nominal_core_cycle_latency();
-            let (_, stats) = run(&mut sim, &batch(routers, neurons, 0.5));
-            assert_eq!(
-                nominal, stats.core_cycle_latency,
-                "{breakpoints} breakpoints, {routers} routers, reach {reach}"
-            );
-        }
-    }
-
-    #[test]
     fn beyond_reach_goes_multicycle() {
         let t = table(16);
         let mut config = LineConfig::paper_default(25, 2);
@@ -492,51 +401,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_fast_path_matches_cycle_accurate_reference() {
-        // The analytic fast path must be indistinguishable from the
-        // flit-level simulation: same outputs, same batch stats, same
-        // per-router cumulative counters — across geometries (within
-        // reach, beyond reach, boundary-aligned, degenerate single
-        // router) and across consecutive batches (router counters
-        // accumulate; the analytics must track that).
-        let cases = [
-            (16, 10, 8, 10), // paper default: single-cycle reach
-            (8, 8, 4, 10),   // one flit
-            (16, 25, 2, 10), // beyond reach
-            (16, 25, 2, 4),  // many parks per flit
-            (16, 20, 3, 5),  // router count a multiple of the reach
-            (16, 21, 3, 10), // one router past two reach spans
-            (16, 1, 4, 10),  // degenerate single-router line
-        ];
-        for (breakpoints, routers, neurons, reach) in cases {
-            let t = table(breakpoints);
-            let mut config = LineConfig::paper_default(routers, neurons);
-            config.max_hops_per_cycle = reach;
-            let mut fast = BroadcastSim::new(config, &t).unwrap();
-            let mut reference = BroadcastSim::new(config, &t).unwrap();
-            for round in 0..3 {
-                let inputs = batch(routers, neurons, round as f64 * 0.3);
-                let mut out_fast = vec![Fixed::zero(Q4_12); inputs.len()];
-                let mut out_ref = out_fast.clone();
-                let sf = fast.run_flat(&inputs, &mut out_fast).unwrap();
-                let sr = reference.run_flat_reference(&inputs, &mut out_ref).unwrap();
-                let label = format!(
-                    "{breakpoints} breakpoints, {routers} routers, reach {reach}, round {round}"
-                );
-                assert_eq!(out_fast, out_ref, "outputs: {label}");
-                assert_eq!(sf, sr, "batch stats: {label}");
-                for (r, (a, b)) in fast.routers.iter().zip(&reference.routers).enumerate() {
-                    assert_eq!(a.stats, b.stats, "router {r} counters: {label}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn input_shape_validation() {
         // An input or output buffer that is not exactly `routers ×
-        // neurons` slots is refused by both paths before anything runs:
-        // no router counter moves.
+        // neurons` slots is refused before anything runs: no router
+        // counter moves.
         let t = table(16);
         let mut sim = BroadcastSim::new(LineConfig::paper_default(4, 8), &t).unwrap();
         let before = counters([&sim]);
@@ -550,7 +418,6 @@ mod tests {
                 got,
             });
             assert_eq!(sim.run_flat(&inputs, &mut outputs), expect);
-            assert_eq!(sim.run_flat_reference(&inputs, &mut outputs), expect);
         }
         assert_eq!(counters([&sim]), before);
     }
@@ -609,15 +476,13 @@ mod tests {
 
     #[test]
     fn both_paths_agree_across_table_switches() {
-        // `run_flat` reads the table directly, while `run_flat_reference`
-        // reads the router comparators that `set_table` re-programs. After
-        // every switch (exp → GELU → exp) both paths must serve the new
-        // table with identical outputs, batch stats and per-router
-        // counters, on a plain line and on a segmented one; the counters
-        // restart exactly as on a freshly built line. Where the reach
-        // covers the line, the segmented NoC has one segment and must be
-        // the plain line exactly: same batch stats, per-router counters
-        // and nominal latency on both paths.
+        // The simulation reads the router comparators that `set_table`
+        // re-programs. After every switch (exp → GELU → exp) the plain
+        // line and the segmented one serve the new table, and their
+        // counters restart exactly as on a freshly built line. Where the
+        // reach covers the line, the segmented NoC has one segment and
+        // must be the plain line exactly: same batch stats and
+        // per-router counters.
         let fitted = |a| {
             let pwl = fit::fit_activation(a, 16, fit::BreakpointStrategy::Uniform).unwrap();
             QuantizedPwl::from_pwl(&pwl, Q4_12, Rounding::NearestEven).unwrap()
@@ -629,57 +494,36 @@ mod tests {
                 ..LineConfig::paper_default(10, 3)
             };
             let inputs = batch(10, 3, 0.4);
-            let mut fast = BroadcastSim::new(config, &exp).unwrap();
-            let mut reference = fast.clone();
-            let mut seg_fast = SegmentedNoc::new(config, &exp).unwrap();
-            let mut seg_reference = seg_fast.clone();
-            assert_eq!(seg_fast.segment_count(), segments);
+            let mut plain = BroadcastSim::new(config, &exp).unwrap();
+            let mut seg = SegmentedNoc::new(config, &exp).unwrap();
+            assert_eq!(seg.segment_count(), segments);
             for t in [&gelu, &exp] {
-                fast.set_table(t).unwrap();
-                reference.set_table(t).unwrap();
-                seg_fast.set_table(t).unwrap();
-                seg_reference.set_table(t).unwrap();
+                plain.set_table(t).unwrap();
+                seg.set_table(t).unwrap();
                 let expect: Vec<Fixed> = inputs.iter().map(|&x| t.eval(x)).collect();
                 let mut fresh = BroadcastSim::new(config, t).unwrap();
                 let mut seg_fresh = SegmentedNoc::new(config, t).unwrap();
                 for round in 0..2 {
                     let label = format!("reach {reach}, round {round}");
-                    let mut outs: [Vec<Fixed>; 4] =
-                        std::array::from_fn(|_| vec![Fixed::zero(Q4_12); inputs.len()]);
-                    let [a, b, c, d] = &mut outs;
-                    let sf = fast.run_flat(&inputs, a).unwrap();
-                    let sr = reference.run_flat_reference(&inputs, b).unwrap();
-                    let seg_sf = seg_fast.run_flat(&inputs, c).unwrap();
-                    let seg_sr = seg_reference.run_flat_reference(&inputs, d).unwrap();
-                    for (path, out) in outs.iter().enumerate() {
-                        assert_eq!(out, &expect, "path {path}, {label}");
-                    }
-                    assert_eq!(sf, sr, "plain batch stats, {label}");
-                    assert_eq!(seg_sf, seg_sr, "segmented batch stats, {label}");
-                    assert_eq!(counters([&fast]), counters([&reference]));
+                    let (out, stats) = run(&mut plain, &inputs);
+                    let mut seg_out = vec![Fixed::zero(Q4_12); inputs.len()];
+                    let seg_stats = seg.run_flat(&inputs, &mut seg_out).unwrap();
+                    assert_eq!(out, expect, "plain, {label}");
+                    assert_eq!(seg_out, expect, "segmented, {label}");
+                    let mut scratch = out.clone();
+                    let fresh_stats = fresh.run_flat(&inputs, &mut scratch).unwrap();
+                    let seg_fresh_stats = seg_fresh.run_flat(&inputs, &mut scratch).unwrap();
+                    assert_eq!(stats, fresh_stats, "plain batch stats, {label}");
+                    assert_eq!(seg_stats, seg_fresh_stats, "segmented batch stats, {label}");
+                    assert_eq!(counters([&plain]), counters([&fresh]), "{label}");
                     assert_eq!(
-                        counters(seg_fast.segments()),
-                        counters(seg_reference.segments())
-                    );
-                    let mut scratch = outs[0].clone();
-                    fresh.run_flat(&inputs, &mut scratch).unwrap();
-                    seg_fresh.run_flat(&inputs, &mut scratch).unwrap();
-                    assert_eq!(counters([&fast]), counters([&fresh]), "{label}");
-                    assert_eq!(
-                        counters(seg_fast.segments()),
-                        counters(seg_fresh.segments())
+                        counters(seg.segments()),
+                        counters(seg_fresh.segments()),
+                        "{label}"
                     );
                     if segments == 1 {
-                        assert_eq!(seg_sf, sf, "one segment is the plain line, {label}");
-                        assert_eq!(seg_sr, sr, "one segment is the plain line, {label}");
-                        assert_eq!(counters(seg_fast.segments()), counters([&fast]));
-                        assert_eq!(counters(seg_reference.segments()), counters([&reference]));
-                        assert_eq!(
-                            seg_fast.nominal_core_cycle_latency(),
-                            fast.nominal_core_cycle_latency(),
-                            "{label}"
-                        );
-                        assert_eq!(sf.core_cycle_latency, fast.nominal_core_cycle_latency());
+                        assert_eq!(seg_stats, stats, "one segment is the plain line, {label}");
+                        assert_eq!(counters(seg.segments()), counters([&plain]));
                     }
                 }
             }

@@ -21,7 +21,8 @@ fn raw16(rng: &mut StdRng) -> i64 {
     rng.gen_range(i64::from(i16::MIN)..i64::from(i16::MAX) + 1)
 }
 
-/// Runs one flat batch through the fast path into a fresh output buffer.
+/// Runs one flat batch through the flit-level simulation into a fresh
+/// output buffer.
 fn run(sim: &mut BroadcastSim, inputs: &[Fixed]) -> (Vec<Fixed>, SimStats) {
     let mut out = vec![Fixed::zero(Q4_12); inputs.len()];
     let stats = sim.run_flat(inputs, &mut out).unwrap();

@@ -4,9 +4,15 @@
 //! escapes (including surrogate pairs), no comments, no trailing
 //! commas. Numbers parse to `U64`/`I64` when integral and in range,
 //! else `F64` — mirroring how the value model distinguishes counters
-//! from measurements.
+//! from measurements. Arrays and objects nest at most [`MAX_DEPTH`]
+//! levels deep, so hostile input is an error, not a stack overflow.
 
 use crate::{Error, Value};
+
+/// The deepest nesting of arrays and objects [`Value::from_json`]
+/// accepts: serde_json's default recursion limit. The parser recurses
+/// once per level, so the cap bounds its stack use.
+const MAX_DEPTH: usize = 128;
 
 impl Value {
     /// Encodes this value as compact JSON text.
@@ -21,11 +27,13 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Json`] with a byte offset on malformed input.
+    /// Returns [`Error::Json`] with a byte offset on malformed input,
+    /// including arrays and objects nested more than 128 levels deep.
     pub fn from_json(text: &str) -> Result<Self, Error> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.parse_value()?;
@@ -107,6 +115,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -158,11 +168,23 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_seq(),
-            Some(b'{') => self.parse_map(),
+            Some(b'[') => self.nested(Self::parse_seq),
+            Some(b'{') => self.nested(Self::parse_map),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deep"));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn parse_seq(&mut self) -> Result<Value, Error> {
@@ -384,5 +406,25 @@ mod tests {
     #[test]
     fn non_finite_floats_encode_null() {
         assert_eq!(Value::F64(f64::NAN).to_json(), "null");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for deep in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            let err = Value::from_json(&deep).unwrap_err();
+            assert!(matches!(err, Error::Json { .. }), "{err:?}");
+        }
+        // Exactly MAX_DEPTH levels parse, of arrays and of objects; one
+        // more is refused at the opening byte of the level too many.
+        let seqs = |depth| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let maps = |depth| format!("{}null{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for (nest, width) in [(&seqs as &dyn Fn(usize) -> String, 1), (&maps, 5)] {
+            assert!(Value::from_json(&nest(MAX_DEPTH)).is_ok());
+            let err = Value::from_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(
+                matches!(err, Error::Json { offset, .. } if offset == MAX_DEPTH * width),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -74,8 +74,7 @@ fn golden_snapshot_restores_raw_word_identical() {
         let table = fresh.get_or_fit(key).expect("fresh fit");
         let restored = warm.get_or_fit(key).expect("resident after restore");
         assert_eq!(warm.misses(), 0, "warm start must never refit");
-        assert_eq!(restored.slopes_raw(), table.slopes_raw(), "{key:?}");
-        assert_eq!(restored.biases_raw(), table.biases_raw(), "{key:?}");
+        assert_eq!(restored.pairs(), table.pairs(), "{key:?}");
         assert_eq!(restored.breakpoints(), table.breakpoints(), "{key:?}");
     }
     assert_eq!(warm.snapshot().to_json(), golden, "round-trip closes");
