@@ -71,7 +71,11 @@
 //! (`TableKey` converts `Into<Plan>`), so single-table callers migrate
 //! mechanically; [`Plan::fused_softmax`] chains the paper's
 //! exp → reduce → reciprocal-scale softmax datapath through two
-//! resident tables with zero host round-trips between stages.
+//! resident tables with zero host round-trips between stages. As in
+//! the paper's decomposition, a row costs one exp lookup per lane but
+//! one reciprocal lookup in all: the reduce leaves one denominator per
+//! row, the workers look that word up once, and the scale reads the
+//! kept numerators.
 //! [`ServingStats`] / [`WorkerLoad`] account the resulting table
 //! switches, so makespan and queries/s honestly include the switch
 //! stalls the paper's broadcast NoC avoids — and a fused plan's
@@ -223,6 +227,7 @@
 pub(crate) mod pack;
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 // Atomics come through the nova-check facade (std in normal builds,
 // instrumented under `--cfg nova_check_model`); nova-lint keeps raw
 // `std::sync::atomic` imports out of this crate.
@@ -282,19 +287,23 @@ impl TableKey {
 pub enum PlanStage {
     /// Evaluate every lane through the resident table for this key
     /// (re-programming the worker's unit if a different table is
-    /// loaded).
+    /// loaded). While only lookups follow a
+    /// [`SumRangeReduce`](Self::SumRangeReduce), every lane of a row
+    /// holds the same word, so the workers evaluate that word once per
+    /// row instead.
     Lookup(TableKey),
     /// Exact row max-subtract in the raw domain: each lane becomes
     /// `x - max(row)` (saturating), so a following `exp` lookup sees
     /// the softmax-normalized domain `[-8, 0]`.
     MaxSubtract,
     /// Reduce the row to its denominator `Σ max(lane, 0)`, range-reduce
-    /// it to `m · 2^e` with `m ∈ [1, 2)`, latch the pre-reduce lanes as
-    /// numerators, and broadcast `m` into every lane (feeding a
-    /// reciprocal lookup). An all-zero row latches the uniform
-    /// fallback for the matching [`RangeScale`](Self::RangeScale).
+    /// it to `m · 2^e` with `m ∈ [1, 2)`, and keep the pre-reduce lanes
+    /// as numerators. Every lane of the row then reads `m` (feeding a
+    /// reciprocal lookup); the workers carry `m` once per row rather
+    /// than writing it into each lane. An all-zero row keeps the
+    /// uniform fallback for the matching [`RangeScale`](Self::RangeScale).
     SumRangeReduce,
-    /// Scale each latched numerator by the looked-up `1/m` and the
+    /// Scale each kept numerator by the looked-up `1/m` and the
     /// exact shift `2^{-e}` from the preceding
     /// [`SumRangeReduce`](Self::SumRangeReduce) — the final softmax
     /// probabilities in the word format.
@@ -306,9 +315,10 @@ pub enum PlanStage {
 ///
 /// The trivial plan is a single [`PlanStage::Lookup`] — exactly the old
 /// tagged-request behavior, and what `TableKey: Into<Plan>` builds.
-/// Multi-stage ("fused") plans run entirely inside the shard workers,
-/// ping-ponging between scratch batches; their reduce stages operate on
-/// each request's row, so a fused request's inputs must fit one
+/// Multi-stage ("fused") plans run entirely inside the shard workers:
+/// each lane-level stage writes a fresh scratch batch, and after a
+/// reduce the lookups run once per row. Reduce stages operate on each
+/// request's row, so a fused request's inputs must fit one
 /// `(routers × neurons)` batch.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Plan {
@@ -1257,7 +1267,8 @@ struct CompiledPlan {
 }
 
 /// Exact row max-subtract in the raw domain — [`PlanStage::MaxSubtract`]
-/// as executed by both the workers and the sequential reference.
+/// in place, as the sequential reference runs it (the workers write it
+/// out of place).
 fn row_max_subtract(row: &mut [Fixed], format: QFormat) {
     let Some(max) = row.iter().map(|x| x.raw()).max() else {
         return;
@@ -1302,6 +1313,27 @@ fn range_scale_lane(num_raw: i64, recip_m: Fixed, e: i32, format: QFormat) -> Fi
         wide << (-shift).min(62)
     };
     Fixed::from_raw_saturating(raw, format)
+}
+
+/// Runs one row stage of a worker out of place: `row(k, slots, lanes)`
+/// writes span `k`'s output lanes, and the tail slots copy `src`'s, so
+/// every lane of `out` is written and a recycled grid never keeps a
+/// word in another plan's format.
+fn row_stage(
+    src: &FixedBatch,
+    out: &mut FixedBatch,
+    spans: &[Span],
+    mut row: impl FnMut(usize, Range<usize>, &mut [Fixed]),
+) {
+    if out.dims() != src.dims() {
+        out.copy_from(src);
+    }
+    let lanes = out.as_mut_slice();
+    for (k, span) in spans.iter().enumerate() {
+        row(k, span.slots(), &mut lanes[span.slots()]);
+    }
+    let len = spans.last().map_or(0, |span| span.slots().end);
+    lanes[len..].copy_from_slice(&src.as_slice()[len..]);
 }
 
 /// One coalesced batch inside a work unit: a full (possibly
@@ -1574,8 +1606,9 @@ fn push_done(done_tx: &spsc::Producer<UnitDone>, mut done: UnitDone) {
 
 /// The armed worker's per-lookup fault hook: applies this shard's
 /// injected fault (if its trigger tick has come up), then re-evaluates
-/// the canary lanes of the batch through the scalar architectural path
-/// and reports the first mismatching lane.
+/// the canary words through the scalar architectural path and reports
+/// the first mismatching one. `xs`/`ys` are the lookup's inputs and
+/// outputs: the batch's lanes, or one word per row after a reduce.
 ///
 /// Returns `None` when the worker is not armed or when every canary
 /// lane agrees; `Some(lane)` is a shard-fault verdict.
@@ -1619,18 +1652,25 @@ struct Worker {
     /// may have cut a switch short, so the next lookup re-programs
     /// unconditionally.
     current: Option<TableKey>,
-    /// The newest stage output.
+    /// The newest lane-level stage output.
     scratch: FixedBatch,
-    /// Lookup output, swapped into `scratch` after every lookup.
+    /// Each lane-level stage's output grid, swapped into `scratch`
+    /// after the stage.
     pong: FixedBatch,
     /// The finished result grid of each batch of the unit in service
     /// (at most [`MAX_UNIT_BATCHES`]), swapped into the unit's shells
     /// once every batch was served.
     results: Vec<FixedBatch>,
-    /// The numerators and per-row range exponents a `SumRangeReduce`
-    /// latches for the following `RangeScale` (`None` marks an all-zero
-    /// row's uniform fallback).
-    latch: Vec<i64>,
+    /// The numerators a `SumRangeReduce` keeps for each later
+    /// `RangeScale`: its input grid, swapped in.
+    numer: FixedBatch,
+    /// Row-uniform data after a `SumRangeReduce`: one word per span
+    /// (first the denominator `m`, then each lookup of it), and the
+    /// per-row lookup output swapped into it.
+    row_vals: Vec<Fixed>,
+    row_out: Vec<Fixed>,
+    /// Each span's range exponent from the last `SumRangeReduce`
+    /// (`None` marks an all-zero row's uniform fallback).
     row_exps: Vec<Option<i32>>,
     /// Fault detection armed: canary checks run, and a panic is a shard
     /// fault instead of a slate failure.
@@ -1740,21 +1780,28 @@ impl Worker {
     /// the result words in `scratch`. `Ok(Some(lane))` is a canary
     /// mismatch verdict.
     ///
-    /// A lookup reads the packed grid (as the first stage) or
-    /// `scratch`, re-programming the unit first when a different table
-    /// is loaded; row ops rewrite `scratch` in place, one span (= one
-    /// request row) at a time.
+    /// Lane-level stages read the packed grid (as the first stage) or
+    /// `scratch` and write every lane of `pong`, which then swaps into
+    /// `scratch`; a lookup first re-programs the unit when a different
+    /// table is loaded. A `SumRangeReduce` leaves the data row-uniform
+    /// — `numer` plus one word per span in `row_vals` — so the lookups
+    /// after it run once per row, and `RangeScale` reads `numer` and
+    /// one reciprocal per row. Any other stage, and the end of the
+    /// plan, materializes row-uniform data first.
     fn run_stages(
         &mut self,
         plan: &CompiledPlan,
         pb: &PackedBatch,
         ledger: &mut UnitLedger,
     ) -> Result<Option<usize>, NovaError> {
-        if !matches!(plan.stages[0], StageOp::Lookup { .. }) {
-            self.scratch.copy_from(&pb.grid);
-        }
         let format = plan.format;
+        let mut rows = false;
         for (i, op) in plan.stages.iter().enumerate() {
+            if rows && matches!(op, StageOp::MaxSubtract | StageOp::SumRangeReduce) {
+                self.materialize(&pb.spans);
+                rows = false;
+            }
+            let src = if i == 0 { &pb.grid } else { &self.scratch };
             match op {
                 StageOp::Lookup { key, table } => {
                     if self.current != Some(*key) {
@@ -1762,66 +1809,110 @@ impl Worker {
                         ledger.table_switches += 1;
                         self.current = Some(*key);
                     }
-                    let src = if i == 0 { &pb.grid } else { &self.scratch };
-                    self.unit.lookup_batch_into(src, &mut self.pong)?;
-                    let mismatch = lookup_fault_hook(
-                        table,
-                        src.as_slice(),
-                        self.pong.as_mut_slice(),
-                        &mut self.injector,
-                        self.armed,
-                    );
-                    std::mem::swap(&mut self.scratch, &mut self.pong);
+                    let mismatch = if rows {
+                        // The words are in the plan's format, which is
+                        // the table's: `Plan::validate` checked it.
+                        self.row_out.clear();
+                        self.row_out
+                            .resize(self.row_vals.len(), Fixed::zero(format));
+                        table.eval_to_slice_unchecked(&self.row_vals, &mut self.row_out);
+                        let (xs, ys) = (&self.row_vals, &mut self.row_out);
+                        let mismatch =
+                            lookup_fault_hook(table, xs, ys, &mut self.injector, self.armed);
+                        std::mem::swap(&mut self.row_vals, &mut self.row_out);
+                        mismatch
+                    } else {
+                        self.unit.lookup_batch_into(src, &mut self.pong)?;
+                        let (xs, ys) = (src.as_slice(), self.pong.as_mut_slice());
+                        let mismatch =
+                            lookup_fault_hook(table, xs, ys, &mut self.injector, self.armed);
+                        std::mem::swap(&mut self.scratch, &mut self.pong);
+                        mismatch
+                    };
                     if mismatch.is_some() {
                         return Ok(mismatch);
                     }
                 }
                 StageOp::MaxSubtract => {
-                    let lanes = self.scratch.as_mut_slice();
-                    for span in &pb.spans {
-                        row_max_subtract(&mut lanes[span.slots()], format);
-                    }
+                    let lanes = src.as_slice();
+                    row_stage(src, &mut self.pong, &pb.spans, |_, slots, out| {
+                        let row = &lanes[slots];
+                        let max = row.iter().map(|x| x.raw()).max().unwrap_or(0);
+                        for (y, x) in out.iter_mut().zip(row) {
+                            *y = Fixed::from_raw_saturating(x.raw() - max, format);
+                        }
+                    });
+                    std::mem::swap(&mut self.scratch, &mut self.pong);
                 }
                 StageOp::SumRangeReduce => {
-                    let lanes = self.scratch.as_mut_slice();
-                    self.latch.clear();
-                    self.latch.extend(lanes.iter().map(|x| x.raw()));
+                    if i == 0 {
+                        self.numer.copy_from(&pb.grid);
+                    } else {
+                        std::mem::swap(&mut self.scratch, &mut self.numer);
+                    }
+                    self.row_vals.clear();
                     self.row_exps.clear();
                     for span in &pb.spans {
-                        let row = &mut lanes[span.slots()];
-                        let red = row_sum_range_reduce(row, format);
-                        // Zero-sum rows broadcast an in-domain
-                        // placeholder; their RangeScale overwrites every
-                        // lane with the uniform fallback.
+                        let red =
+                            row_sum_range_reduce(&self.numer.as_slice()[span.slots()], format);
+                        // Zero-sum rows carry an in-domain placeholder;
+                        // their RangeScale writes the uniform fallback.
                         let m_raw = red.map_or(format.scale(), |(m, _)| m);
-                        row.fill(Fixed::from_raw_saturating(m_raw, format));
+                        self.row_vals
+                            .push(Fixed::from_raw_saturating(m_raw, format));
                         self.row_exps.push(red.map(|(_, e)| e));
                     }
+                    rows = true;
                 }
                 StageOp::RangeScale => {
-                    let lanes = self.scratch.as_mut_slice();
-                    for (span, exp) in pb.spans.iter().zip(&self.row_exps) {
-                        let row = &mut lanes[span.slots()];
-                        match *exp {
-                            Some(e) => {
-                                for (x, &num) in row.iter_mut().zip(&self.latch[span.slots()]) {
-                                    *x = range_scale_lane(num, *x, e, format);
-                                }
+                    // Row-uniform data scales by one reciprocal per row,
+                    // lanes by their own.
+                    let (src, recips) = if rows {
+                        (&self.numer, None)
+                    } else {
+                        (src, Some(src.as_slice()))
+                    };
+                    let numer = self.numer.as_slice();
+                    let (row_vals, row_exps) = (&self.row_vals, &self.row_exps);
+                    row_stage(src, &mut self.pong, &pb.spans, |k, slots, out| {
+                        let Some(e) = row_exps[k] else {
+                            // All numerators quantized to zero: uniform, the
+                            // same divide-by-zero guard as `ApproxSoftmax::eval`.
+                            let n = slots.len() as f64;
+                            out.fill(Fixed::from_f64(1.0 / n, format, plan.rounding));
+                            return;
+                        };
+                        let lanes = out.iter_mut().zip(&numer[slots.clone()]);
+                        if let Some(recips) = recips {
+                            for ((y, num), &recip) in lanes.zip(&recips[slots]) {
+                                *y = range_scale_lane(num.raw(), recip, e, format);
                             }
-                            // All numerators quantized to zero: uniform,
-                            // the same divide-by-zero guard as
-                            // `ApproxSoftmax::eval`.
-                            None => row.fill(Fixed::from_f64(
-                                1.0 / span.len as f64,
-                                format,
-                                plan.rounding,
-                            )),
+                        } else {
+                            let recip = row_vals[k];
+                            for (y, num) in lanes {
+                                *y = range_scale_lane(num.raw(), recip, e, format);
+                            }
                         }
-                    }
+                    });
+                    std::mem::swap(&mut self.scratch, &mut self.pong);
+                    rows = false;
                 }
             }
         }
+        if rows {
+            self.materialize(&pb.spans);
+        }
         Ok(None)
+    }
+
+    /// Writes row-uniform data out as lanes into `scratch`: the `numer`
+    /// grid with each span's row filled with its row word.
+    fn materialize(&mut self, spans: &[Span]) {
+        let row_vals = &self.row_vals;
+        row_stage(&self.numer, &mut self.pong, spans, |k, _, out| {
+            out.fill(row_vals[k]);
+        });
+        std::mem::swap(&mut self.scratch, &mut self.pong);
     }
 }
 
@@ -1883,7 +1974,9 @@ impl ServingEngine {
                 scratch: FixedBatch::empty(),
                 pong: FixedBatch::empty(),
                 results: Vec::new(),
-                latch: Vec::new(),
+                numer: FixedBatch::empty(),
+                row_vals: Vec::new(),
+                row_out: Vec::new(),
                 row_exps: Vec::new(),
                 armed: fault_policy.is_some(),
                 injector: fault_policy.as_ref().and_then(|p| p.injector_for(id)),
@@ -2256,20 +2349,22 @@ impl ServingEngine {
         self.check_poisoned()?;
         let started = Instant::now();
         let capacity = self.capacity();
-        // Compile every plan up front and group requests into per-plan
-        // runs, in first-appearance order: a slate naming a non-resident
-        // activation or carrying a malformed plan is rejected before any
-        // buffer or counter moves. (Plan compilation mutates only the
-        // memo cache, which is invisible to accounting.) Memoization
-        // makes equal plans pointer-equal, so groups form by identity.
+        // Group requests into per-plan runs, in first-appearance order,
+        // and compile each distinct plan once, up front: a slate naming
+        // a non-resident activation or carrying a malformed plan is
+        // rejected before any buffer or counter moves. (Plan compilation
+        // mutates only the memo cache, which is invisible to
+        // accounting.) A request joins the first group whose source plan
+        // equals its own, so only a plan new to the slate is compiled.
         let mut group_of: Vec<usize> = Vec::with_capacity(requests.len());
+        let mut sources: Vec<&Plan> = Vec::new();
         let mut groups: Vec<Arc<CompiledPlan>> = Vec::new();
         for request in requests {
-            let plan = self.compile_plan(&request.plan)?;
-            let g = match groups.iter().position(|p| Arc::ptr_eq(p, &plan)) {
+            let g = match sources.iter().position(|&plan| *plan == request.plan) {
                 Some(g) => g,
                 None => {
-                    groups.push(plan);
+                    groups.push(self.compile_plan(&request.plan)?);
+                    sources.push(&request.plan);
                     groups.len() - 1
                 }
             };
@@ -3856,6 +3951,121 @@ mod tests {
         );
     }
 
+    #[test]
+    fn generated_plans_match_the_sequential_reference() {
+        // Seeded plans of 1–6 stages over the three Q4.12 paper tables
+        // and the three row ops, each serving ragged rows of up to one
+        // full 2×8 grid at 1, 2 and 3 shards. After a SumRangeReduce the
+        // workers keep one word per row; the coverage counts below pin
+        // that the draw reaches every stage that can meet such data
+        // (and a RangeScale that runs twice), so each is checked
+        // against the reference.
+        let cache = TableCache::new();
+        let tables = [Activation::Gelu, Activation::Exp, Activation::Recip].map(TableKey::paper);
+        let mut engines: Vec<ServingEngine> =
+            [ApproximatorKind::NovaNoc, ApproximatorKind::PerCoreLut]
+                .into_iter()
+                .flat_map(|kind| [1usize, 2, 3].map(|shards| (kind, shards)))
+                .map(|(kind, shards)| {
+                    ServingEngine::builder(kind)
+                        .line(LineConfig::paper_default(2, 8))
+                        .cache(&cache)
+                        .tables(tables)
+                        .shards(shards)
+                        .build()
+                        .unwrap()
+                })
+                .collect();
+        let capacity = engines[0].capacity();
+        let mut rng = StdRng::seed_from_u64(0x9E7A);
+        // Row-uniform data met by: a lookup, MaxSubtract, a second
+        // reduce, the end of the plan; and a RangeScale run twice.
+        let mut reached = [0usize; 5];
+        for p in 0..300 {
+            let plan = loop {
+                let stages = (0..rng.gen_range(1usize..7)).map(|_| match rng.gen_range(0u32..6) {
+                    0 => PlanStage::MaxSubtract,
+                    1 => PlanStage::SumRangeReduce,
+                    2 => PlanStage::RangeScale,
+                    t => PlanStage::Lookup(tables[t as usize - 3]),
+                });
+                let plan = Plan::new(stages.collect::<Vec<_>>());
+                if plan.validate().is_ok() {
+                    break plan;
+                }
+            };
+            let (mut rows, mut scales) = (false, 0);
+            for stage in plan.stages() {
+                match stage {
+                    PlanStage::Lookup(_) => reached[0] += usize::from(rows),
+                    PlanStage::MaxSubtract => reached[1] += usize::from(rows),
+                    PlanStage::SumRangeReduce => reached[2] += usize::from(rows),
+                    PlanStage::RangeScale => scales += 1,
+                }
+                rows = match stage {
+                    PlanStage::SumRangeReduce => true,
+                    PlanStage::Lookup(_) => rows,
+                    _ => false,
+                };
+            }
+            reached[3] += usize::from(rows);
+            reached[4] += usize::from(scales >= 2);
+            let reqs: Vec<ServingRequest> = (0..rng.gen_range(1usize..6))
+                .map(|stream| {
+                    let width = rng.gen_range(0..capacity + 1);
+                    let inputs = (0..width).map(|_| fixed(rng.gen_range(-6.0..6.0)));
+                    ServingRequest::new(stream, plan.clone(), inputs.collect())
+                })
+                .collect();
+            // Alternate the kinds; each plan runs at 1, 2 and 3 shards.
+            for eng in engines.iter_mut().skip(3 * (p % 2)).take(3) {
+                let reference = eng.serve_reference(&reqs);
+                let label = format!("{} w={}: {plan:?}", eng.kind().label(), eng.shards());
+                assert_eq!(eng.serve(&reqs).unwrap(), reference, "{label}");
+            }
+        }
+        assert!(reached.iter().all(|&n| n > 0), "coverage {reached:?}");
+    }
+
+    #[test]
+    fn fused_plans_of_two_formats_share_one_shard() {
+        // Every row stage writes every lane of its output grid, so a
+        // recycled grid never carries a word of the other plan's format
+        // into the unit's format scan: a full Q4.12 slate (3 rows of 16)
+        // alternates with a Q6.10 one that leaves a padded tail (3 rows
+        // of 5) on one shard.
+        use nova_fixed::Q6_10;
+        let cache = TableCache::new();
+        let q4 = Plan::fused_softmax(Q4_12, Rounding::NearestEven);
+        let q6 = Plan::fused_softmax(Q6_10, Rounding::NearestEven);
+        let mut eng = ServingEngine::builder(ApproximatorKind::NovaNoc)
+            .line(LineConfig::paper_default(2, 8))
+            .cache(&cache)
+            .plan(&q4)
+            .plan(&q6)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(0x2F0);
+        let mut slate = |plan: &Plan, format, width| -> Vec<ServingRequest> {
+            (0..3)
+                .map(|stream| {
+                    let inputs = (0..width).map(|_| {
+                        Fixed::from_f64(rng.gen_range(-4.0..4.0), format, Rounding::NearestEven)
+                    });
+                    ServingRequest::new(stream, plan.clone(), inputs.collect())
+                })
+                .collect()
+        };
+        let full = slate(&q4, Q4_12, 16);
+        let padded = slate(&q6, Q6_10, 5);
+        for round in 0..4 {
+            for reqs in [&full, &padded] {
+                let reference = eng.serve_reference(reqs);
+                assert_eq!(eng.serve(reqs).unwrap(), reference, "round {round}");
+            }
+        }
+    }
+
     // ----- fault quarantine, requeue, and warm-start snapshots -----
 
     #[test]
@@ -3889,6 +4099,32 @@ mod tests {
         // Degraded steady state: the survivor keeps serving correctly.
         assert_eq!(eng.serve(&reqs).unwrap(), reference);
         assert_eq!(eng.stats().quarantined_shards, 1, "no double quarantine");
+    }
+
+    #[test]
+    fn faults_on_the_reciprocal_stage_quarantine_and_requeue() {
+        // A fused plan's second lookup (tick 1 of shard 0's only batch)
+        // is the reciprocal: a bit flip there is caught by the canary
+        // and a panic there by the armed worker, and either way shard 0
+        // is quarantined and its one unit re-runs on shard 1.
+        let cache = TableCache::new();
+        let plan = softmax_plan();
+        let reqs = fused_requests(&[16, 16], 0xFA06);
+        for injector in [FaultInjector::bit_flip(1, 9), FaultInjector::panic_after(1)] {
+            let mut eng = ServingEngine::builder(ApproximatorKind::NovaNoc)
+                .line(LineConfig::paper_default(2, 8))
+                .cache(&cache)
+                .plan(&plan)
+                .shards(2)
+                .fault_check(FaultPolicy::new().inject(0, injector.clone()))
+                .build()
+                .unwrap();
+            let reference = eng.serve_reference(&reqs);
+            assert_eq!(eng.serve(&reqs).unwrap(), reference, "{injector:?}");
+            let stats = eng.stats();
+            assert_eq!(stats.quarantined_shards, 1, "{injector:?}: {stats:?}");
+            assert_eq!(stats.requeued_units, 1, "{injector:?}: {stats:?}");
+        }
     }
 
     #[test]

@@ -288,9 +288,10 @@ pub trait VectorUnit: Send {
     /// Evaluates one flat batch: slot `r * neurons + n` of `inputs` →
     /// the same slot of `out`, bit-identical to the quantized table.
     ///
-    /// `out` is reshaped to the unit's grid by the implementation
-    /// (contents discarded, allocation reused), so callers recycle one
-    /// buffer across batches and the steady state is allocation-free.
+    /// Every slot of `out` is overwritten, not refilled first: the
+    /// implementation reshapes `out` only when its grid differs from
+    /// the unit's (allocation reused), so callers recycle one buffer
+    /// across batches and the steady state is allocation-free.
     ///
     /// # Errors
     ///
@@ -324,7 +325,11 @@ pub trait VectorUnit: Send {
     /// construction on (never a stale 0).
     fn latency_cycles(&self) -> u64;
 
-    /// Total lookups served so far.
+    /// Total grid lookups served so far: the slots of every batch that
+    /// went through [`lookup_batch_into`](Self::lookup_batch_into). The
+    /// serving workers evaluate a fused plan's once-per-row lookups
+    /// through the table directly, so those are not counted here; the
+    /// engine's cycle ledger charges every lookup stage either way.
     fn lookups(&self) -> u64;
 }
 
@@ -377,7 +382,9 @@ impl VectorUnit for Unit {
         if inputs.as_slice().iter().any(|x| x.format() != format) {
             return Err(NocError::FormatMismatch.into());
         }
-        out.reset(self.routers, self.neurons, Fixed::zero(format));
+        if out.dims() != inputs.dims() {
+            out.reset(self.routers, self.neurons, Fixed::zero(format));
+        }
         self.table
             .eval_to_slice_unchecked(inputs.as_slice(), out.as_mut_slice());
         self.lookups += inputs.len() as u64;

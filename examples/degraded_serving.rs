@@ -73,11 +73,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(identical, "quarantine must be functionally invisible");
     assert_eq!(stats.quarantined_shards, 1);
     assert_eq!(engine.healthy_shards(), 3);
-    println!(
-        "requeue cost attributed: {} ns across {} requeued unit(s)",
-        engine.stage_times().requeue_ns,
-        stats.requeued_units
-    );
+    // The requeue's wall time varies run to run; print only that it
+    // was recorded, so the example's output is deterministic.
+    let requeue_timed = engine.stage_times().requeue_ns > 0;
+    assert!(requeue_timed, "the requeue's wall time must be recorded");
+    println!("requeue time recorded: {requeue_timed}");
 
     // 4. Degraded steady state: the survivors keep serving correctly.
     let again = engine.serve(&requests)?;
